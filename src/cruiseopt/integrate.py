@@ -20,12 +20,11 @@ from .atmosphere import check_envelope
 from .dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from .errors import IntegrationError, ValidationError
 from .pmp import (
+    costate_rhs,
     evaluate_feedback,
     hamiltonian,
-    lie_B_D,
-    build_M,
+    legendre_clebsch,
     scaled_det,
-    costate_rhs,
     solve_costates_on_singular,
     switching_function,
 )
@@ -342,7 +341,7 @@ def _fill_diagnostics(ctx: CruiseContext, traj: Trajectory, alpha: float,
     det = np.full(n, np.nan)
     for i in range(n):
         x, y, v, m, chi = traj.states[i]
-        det[i] = scaled_det(build_M(ctx, x, y, v, m, chi))
+        det[i] = scaled_det(ctx, x, y, v, m, chi)
         if traj.arc_id[i] == 1:
             # exact feedback throttle at the stored sample state
             fb = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
@@ -355,6 +354,5 @@ def _fill_diagnostics(ctx: CruiseContext, traj: Trajectory, alpha: float,
         if math.isnan(pi):
             pi = 0.0
         H[i] = hamiltonian(ctx, x, y, v, m, chi, pi, li)
-        _, dvec = lie_B_D(ctx, x, y, v, m, chi)
-        lc[i] = -sum(li[k] * dvec[k] for k in range(4))
+        lc[i] = legendre_clebsch(ctx, x, y, v, m, chi, li)
     traj.S, traj.H, traj.lc, traj.detM = S, H, lc, det

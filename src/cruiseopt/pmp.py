@@ -3,23 +3,33 @@
 Everything needed to classify and evaluate the controls lives here: the
 Hamiltonian and co-state dynamics, the throttle switching function, the
 bracket vectors A, B, D built from the drift field Q and control field P,
-the algebraic co-state solve on the singular arc, and the singular throttle
-feedback (both the generic form and the degenerate zero-time-weight form
-driven by the determinant transport condition).
+the co-state on the singular arc, and the singular throttle feedback (both
+the generic form and the degenerate zero-time-weight form driven by the
+determinant transport condition).
 
-First-level Jacobians are analytic; the second-level derivatives (dA/dX and
-the determinant gradient) use central finite differences with steps sized
-per scaled coordinate.  The co-state linear system is solved after column
-scaling by the state scales so the 4x4 matrix is well conditioned despite
-raw SI magnitudes spanning nine orders.
+All of it is closed form.  A depends on the state only through (v, m, chi)
+and the drag polar D = a v^2 + b m^2 / v^2, so dA/dX, B and D are written
+out by hand.  On the singular arc the conditions S = 0, dS/dt = 0,
+H = -alpha and the heading row (sin chi, -cos chi, 0, 0) solve by
+substitution, with A_v, A_m the speed and mass components of A:
+
+    (lam_x, lam_y) = k lam_m (cos chi, sin chi),   lam_v = m C_s lam_m,
+    k = (m / T) (m C_s A_v + A_m),   lam_m = -alpha / (k V_g - C_s D),
+
+where V_g = v + w . (cos chi, sin chi) is the ground speed along the
+heading.  The heading row has no pole at chi = +-pi/2.  Whether the system
+is well posed is judged on its determinant after column scaling by the
+state scales and normalization of each row to unit 2-norm.  Resolving the
+planar columns along and across the heading turns that determinant into a
+3x3 minor over three row norms, which the zero-weight feedback
+differentiates along the flow by the quotient rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .dynamics import (
     CruiseContext,
@@ -35,8 +45,9 @@ from .errors import DegenerateArcError, IllConditionedSystemError, SingularDenom
 # x, y by 1e6 m; v by 1e2 m/s; m by 1e4 kg; t by 1e3 s.
 STATE_SCALES = (1.0e6, 1.0e6, 1.0e2, 1.0e4)
 TIME_SCALE = 1.0e3
+_SX, _, _SV, _SM = STATE_SCALES
 
-EPS_DET = 1.0e-10   # on the column-scaled determinant
+EPS_DET = 1.0e-10   # on the equilibrated determinant
 EPS_DEN = 1.0e-12   # on the feedback denominator (unit-costate normalization)
 
 
@@ -78,177 +89,135 @@ def switching_function(ctx: CruiseContext, v: float, m: float, lam) -> float:
     return lam[2] * ctx.T_max / m - lam[3] * ctx.fuel_coeff(v) * ctx.T_max
 
 
+def _polar(ctx: CruiseContext, v: float, m: float):
+    """C_s, the drag D with its partials D_v, D_m, and the speed and mass
+    components A_v, A_m of the bracket A with their partials av_v = dA_v/dv,
+    av_m = dA_v/dm, am_v = dA_m/dv and am_m = dA_m/dm.
+
+    With the drag polar D = a v^2 + b m^2 / v^2, u = a v / m^2 and
+    w = b / v^3: D = m^2 v (u + w), D / m^2 - D_m / m = v (u - w) and
+    A_v = T (u - w) (2 + C_s v), where C_s = C_s1 (1 + v / C_s2).
+    """
+    tmax, cs_v = ctx.T_max, ctx.cs_slope
+    cs = ctx.fuel_coeff(v)
+    m2 = m * m
+    u = ctx.qs_coeff * v / m2
+    w = ctx.ind_coeff / (v * v * v)
+    f = 2.0 + cs * v
+    drag = m2 * v * (u + w)
+    d_v = 2.0 * m2 * (u - w)
+    a_m = cs_v * tmax * drag / m
+    av_v = tmax * ((u + 3.0 * w) * f / v + (u - w) * (cs_v * v + cs))
+    av_m = -2.0 * tmax * u * f / m
+    am_v = cs_v * tmax * d_v / m
+    am_m = -cs_v * tmax * v * (u - w)
+    return (cs, drag, d_v, 2.0 * m * v * w, tmax * (u - w) * f, a_m,
+            av_v, av_m, am_v, am_m)
+
+
 def lie_A(ctx: CruiseContext, v: float, m: float, chi: float):
     """Bracket vector A = (dP/dX) Q - (dQ/dX) P, analytic.
 
     Wind cancels out of the bracket, so A depends on (v, m, chi) only.
     """
-    tmax = ctx.T_max
-    d = ctx.drag(m, v)
-    d_v, d_m = ctx.drag_partials(m, v)
-    cs = ctx.fuel_coeff(v)
-    return (
-        -tmax * math.cos(chi) / m,
-        -tmax * math.sin(chi) / m,
-        tmax * (d_v / (m * m) + cs * (d / (m * m) - d_m / m)),
-        ctx.cs_slope * tmax * d / m,
-    )
-
-
-def dA_dchi(ctx: CruiseContext, m: float, chi: float):
-    """Partial of A w.r.t. heading; only the planar components move."""
-    tmax = ctx.T_max
-    return (tmax * math.sin(chi) / m, -tmax * math.cos(chi) / m, 0.0, 0.0)
-
-
-def _dA_dX_fd(ctx: CruiseContext, v: float, m: float, chi: float, rel: float = 1e-6):
-    """Central-difference Jacobian of A w.r.t. the state.
-
-    A has no (x, y) dependence, so only the v and m columns are nonzero.
-    Steps are sized per scaled coordinate: h_i = rel * max(s_i, |X_i|).
-    """
-    hv = rel * max(STATE_SCALES[2], abs(v))
-    hm = rel * max(STATE_SCALES[3], abs(m))
-    a_vp = lie_A(ctx, v + hv, m, chi)
-    a_vm = lie_A(ctx, v - hv, m, chi)
-    a_mp = lie_A(ctx, v, m + hm, chi)
-    a_mm = lie_A(ctx, v, m - hm, chi)
-    col_v = tuple((a_vp[i] - a_vm[i]) / (2.0 * hv) for i in range(4))
-    col_m = tuple((a_mp[i] - a_mm[i]) / (2.0 * hm) for i in range(4))
-    return tuple((0.0, 0.0, col_v[i], col_m[i]) for i in range(4))
+    pol = _polar(ctx, v, m)
+    tm = ctx.T_max / m
+    return (-tm * math.cos(chi), -tm * math.sin(chi), pol[4], pol[5])
 
 
 def lie_B_D(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-            chi: float, fd_rel: float = 1e-6):
-    """Second-level bracket vectors.
+            chi: float):
+    """Second-level bracket vectors, analytic.
 
-    B = (dA/dX) Q - (dQ/dX) A  and  D = (dA/dX) P - (dP/dX) A.
+    B = (dA/dX) Q - (dQ/dX) A  and  D = (dA/dX) P - (dP/dX) A.  Only the v
+    and m columns of dA/dX are nonzero and Q has no mass component, so
+    (dA/dX) Q = Q_v dA/dv and (dA/dX) P = P_v dA/dv + P_m dA/dm.
     """
-    da = _dA_dX_fd(ctx, v, m, chi, fd_rel)
-    a = lie_A(ctx, v, m, chi)
-    q = eval_Q(ctx, x, y, v, m, chi)
-    p = eval_P(ctx, v, m)
-    jq = jacobian_Q(ctx, x, y, v, m, chi)
-    jp = jacobian_P(ctx, v, m)
-    b = tuple(
-        sum(da[i][j] * q[j] for j in range(4))
-        - sum(jq[i][j] * a[j] for j in range(4))
-        for i in range(4)
-    )
-    d = tuple(
-        sum(da[i][j] * p[j] for j in range(4))
-        - sum(jp[i][j] * a[j] for j in range(4))
-        for i in range(4)
-    )
+    tmax = ctx.T_max
+    cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = _polar(ctx, v, m)
+    wxx, wxy, wyx, wyy = ctx.wind.wind_gradients(x, y)
+    c, s = math.cos(chi), math.sin(chi)
+    tm = tmax / m
+    q_v = -drag / m
+    p_m = -cs * tmax
+    b = (tm * (wxx * c + wxy * s) - c * a_v,
+         tm * (wyx * c + wyy * s) - s * a_v,
+         q_v * av_v + (d_v * a_v + (d_m - drag / m) * a_m) / m,
+         q_v * am_v)
+    d = (tm * c * p_m / m,
+         tm * s * p_m / m,
+         tm * av_v + p_m * av_m + tm * a_m / m,
+         tm * am_v + p_m * am_m + ctx.cs_slope * tmax * a_v)
     return b, d
 
 
-def build_M(ctx: CruiseContext, x: float, y: float, v: float, m: float,
+def _system(ctx: CruiseContext, x: float, y: float, v: float, m: float,
             chi: float):
-    """The 4x4 co-state system matrix: rows (P, A, Q with zeroed mass slot,
-    heading row (tan chi, -1, 0, 0))."""
-    q = eval_Q(ctx, x, y, v, m, chi)
-    p = eval_P(ctx, v, m)
-    a = lie_A(ctx, v, m, chi)
-    return (
-        (p[0], p[1], p[2], p[3]),
-        (a[0], a[1], a[2], a[3]),
-        (q[0], q[1], q[2], 0.0),
-        (math.tan(chi), -1.0, 0.0, 0.0),
-    )
+    """The singular-arc system at one state, resolved along and across the
+    heading.
+
+    Returns (c, s, vg, wn, polar, k, delta, rows, norms, det): the
+    heading's cosine and sine, the ground speed along the heading and the
+    wind across it, the `_polar` tuple, the co-state factor k, the
+    denominator delta = k V_g - C_s D, the column-scaled P, A and Q rows
+    without their zero entries, their squared 2-norms, and the equilibrated
+    determinant.  In this frame the heading row is (0, -1, 0, 0) and the
+    planar parts of P, A and Q are (0, 0), (-T/m, 0) and (V_g, W_n), so
+    det M = -(T/m)^2 delta; the heading row's scaled norm is 1 / s_x.
+    """
+    wx, wy = ctx.wind.wind_at(x, y)
+    c, s = math.cos(chi), math.sin(chi)
+    vg = v + wx * c + wy * s
+    wn = wy * c - wx * s
+    pol = _polar(ctx, v, m)
+    cs, drag, a_v, a_m = pol[0], pol[1], pol[4], pol[5]
+    tmax = ctx.T_max
+    tm = tmax / m
+    k = m * (m * cs * a_v + a_m) / tmax
+    delta = k * vg - cs * drag
+    p0, p1 = tm / _SV, cs * tmax / _SM
+    r0, r1, r2 = tm / _SX, a_v / _SV, a_m / _SM
+    q0, q1, q2 = vg / _SX, wn / _SX, drag / (m * _SV)
+    norms = (p0 * p0 + p1 * p1, r0 * r0 + r1 * r1 + r2 * r2,
+             q0 * q0 + q1 * q1 + q2 * q2)
+    det = -tm * tm * delta / (_SX * _SV * _SM * math.sqrt(
+        norms[0] * norms[1] * norms[2]))
+    return (c, s, vg, wn, pol, k, delta, (p0, p1, r0, r1, r2, q0, q1, q2),
+            norms, det)
 
 
-def _solve4(mat, rhs):
-    """Dense 4x4 solve with partial pivoting; returns (x, det, pivot_ratio)."""
-    a = [list(row) for row in mat]
-    b = list(rhs)
-    det = 1.0
-    piv_max, piv_min = 0.0, math.inf
-    for k in range(4):
-        p = max(range(k, 4), key=lambda i: abs(a[i][k]))
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            b[k], b[p] = b[p], b[k]
-            det = -det
-        piv = a[k][k]
-        det *= piv
-        if piv == 0.0:
-            return None, 0.0, math.inf
-        piv_max = max(piv_max, abs(piv))
-        piv_min = min(piv_min, abs(piv))
-        for i in range(k + 1, 4):
-            f = a[i][k] / piv
-            if f != 0.0:
-                for j in range(k + 1, 4):
-                    a[i][j] -= f * a[k][j]
-                b[i] -= f * b[k]
-    x = [0.0] * 4
-    for i in range(3, -1, -1):
-        acc = b[i]
-        row = a[i]
-        for j in range(i + 1, 4):
-            acc -= row[j] * x[j]
-        x[i] = acc / row[i]
-    return x, det, piv_max / piv_min
+def scaled_det(ctx: CruiseContext, x: float, y: float, v: float, m: float,
+               chi: float) -> float:
+    """Determinant of the equilibrated system matrix (bounded by 1): rows P,
+    A, Q with the mass slot zeroed and (sin chi, -cos chi, 0, 0), scaled
+    column-wise by STATE_SCALES and then to unit row 2-norm."""
+    return _system(ctx, x, y, v, m, chi)[9]
 
 
-def _equilibrate(mat):
-    """Column-scale by the state scales, then normalize each row by its
-    Euclidean norm.  Row 2-norms (not max) keep the result smooth in the
-    state, which the zero-weight determinant gradient relies on."""
-    cols = [[mat[i][j] / STATE_SCALES[j] for j in range(4)] for i in range(4)]
-    rows = []
-    norms = []
-    for r in cols:
-        nrm = math.sqrt(sum(e * e for e in r))
-        if nrm == 0.0:
-            nrm = 1.0
-        norms.append(nrm)
-        rows.append([e / nrm for e in r])
-    return rows, norms
-
-
-def scaled_det(mat) -> float:
-    """Determinant of the equilibrated system matrix (bounded by 1)."""
-    rows, _ = _equilibrate(mat)
-    return _det4(rows)
-
-
-def _det4(m) -> float:
-    a = [row[:] for row in m]
-    det = 1.0
-    for k in range(4):
-        p = max(range(k, 4), key=lambda i: abs(a[i][k]))
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        piv = a[k][k]
-        if piv == 0.0:
-            return 0.0
-        det *= piv
-        for i in range(k + 1, 4):
-            f = a[i][k] / piv
-            for j in range(k + 1, 4):
-                a[i][j] -= f * a[k][j]
-    return det
+def _unit_costate(m: float, sysm, eps_det: float):
+    """Unit-weight co-state from a `_system` tuple, guarded on its
+    determinant."""
+    c, s, _, _, pol, k, delta, _, _, det = sysm
+    if abs(det) < eps_det:
+        # unit rows: 1/|det| stands in for the condition number
+        raise IllConditionedSystemError(
+            det, 1.0 / abs(det) if det else math.inf)
+    lam_m = -1.0 / delta
+    rho = k * lam_m
+    return rho * c, rho * s, m * pol[0] * lam_m, lam_m
 
 
 def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
                         m: float, chi: float, eps_det: float = EPS_DET):
     """Solve the singular-arc co-state system normalized to unit cost weight.
 
-    Returns lambda satisfying <l,P>=0, <l,A>=0, <l,Q>=-1, lx tan(chi)-ly=0
-    together with the scaled determinant.  The physical co-state for weight
-    alpha is alpha times this vector.
+    Returns lambda satisfying <l,P>=0, <l,A>=0, <l,Q>=-1 and
+    lx sin(chi) - ly cos(chi) = 0, together with the equilibrated
+    determinant.  The physical co-state for weight alpha is alpha times
+    this vector.
     """
-    mat = build_M(ctx, x, y, v, m, chi)
-    rows, norms = _equilibrate(mat)
-    rhs = (0.0, 0.0, -1.0 / norms[2], 0.0)
-    sol, det, cond = _solve4(rows, rhs)
-    if sol is None or abs(det) < eps_det:
-        raise IllConditionedSystemError(det, cond)
-    lam = tuple(sol[j] / STATE_SCALES[j] for j in range(4))
-    return lam, det
+    sysm = _system(ctx, x, y, v, m, chi)
+    return _unit_costate(m, sysm, eps_det), sysm[9]
 
 
 def solve_costates_on_singular(ctx: CruiseContext, x: float, y: float,
@@ -257,103 +226,112 @@ def solve_costates_on_singular(ctx: CruiseContext, x: float, y: float,
     """Co-state on the singular arc for cost weight alpha > 0."""
     if alpha <= 0.0:
         raise ValueError("algebraic co-state solve requires alpha > 0")
-    lam, _ = solve_costates_unit(ctx, x, y, v, m, chi, eps_det)
-    return Costate(*(alpha * li for li in lam))
+    lx, ly, lv, lm = _unit_costate(m, _system(ctx, x, y, v, m, chi), eps_det)
+    return Costate(alpha * lx, alpha * ly, alpha * lv, alpha * lm)
 
 
-def costates_adjugate(ctx: CruiseContext, x: float, y: float, v: float,
-                      m: float, chi: float, alpha: float) -> Costate:
-    """Adjugate-form co-state solve; kept as an oracle for the LU path."""
-    mat = np.array(build_M(ctx, x, y, v, m, chi))
-    scaled = mat / np.array(STATE_SCALES)[None, :]
-    det = np.linalg.det(scaled)
-    adj = np.linalg.inv(scaled) * det
-    lam_scaled = adj @ np.array([0.0, 0.0, -alpha, 0.0]) / det
-    return Costate(*(lam_scaled / np.array(STATE_SCALES)))
-
-
-@dataclass(frozen=True)
-class FeedbackEval:
+class FeedbackEval(NamedTuple):
     """One evaluation of the singular throttle feedback with diagnostics."""
 
     throttle: float          # unclamped value
     lam: tuple | None        # physical co-state (None on the alpha=0 route)
-    det_scaled: float        # column-scaled determinant of the system matrix
+    det_scaled: float        # equilibrated determinant of the system matrix
     lc: float                # -<lambda, D>, the second-order condition value
-    chidot: float
 
 
 def singular_throttle(ctx: CruiseContext, x: float, y: float, v: float,
-                      m: float, chi: float, chidot: float, alpha: float,
+                      m: float, chi: float, grads, alpha: float,
                       eps_det: float = EPS_DET,
                       eps_den: float = EPS_DEN) -> FeedbackEval:
     """Feedback throttle on the singular arc from the vanishing of the
-    second derivative of the switching function."""
-    lam_u, det = solve_costates_unit(ctx, x, y, v, m, chi, eps_det)
-    b, d = lie_B_D(ctx, x, y, v, m, chi)
-    da_chi = dA_dchi(ctx, m, chi)
-    num = sum(lam_u[i] * b[i] for i in range(4)) + chidot * sum(
-        lam_u[i] * da_chi[i] for i in range(4)
-    )
-    den = sum(lam_u[i] * d[i] for i in range(4))
+    second derivative of the switching function; `grads` are the wind
+    gradients at (x, y).
+
+    The heading-rate term chidot <lambda, dA/dchi> of that derivative is
+    identically zero: (lam_x, lam_y) lies along the heading and dA/dchi
+    across it.
+    """
+    sysm = _system(ctx, x, y, v, m, chi)
+    lx, ly, lv, lm = _unit_costate(m, sysm, eps_det)
+    c, s, _, _, pol, k, _, _, _, det = sysm
+    cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = pol
+    wxx, wxy, wyx, wyy = grads
+    tmax = ctx.T_max
+    tm = tmax / m
+    q_v = -drag / m
+    p_m = -cs * tmax
+    mcs = m * cs
+    # <lambda, B> and <lambda, D> of `lie_B_D` over lam_m, written out for
+    # lambda = lam_m (k cos, k sin, m C_s, 1)
+    num = (k * (tm * (c * (wxx * c + wxy * s) + s * (wyx * c + wyy * s))
+                - a_v)
+           + mcs * (q_v * av_v + (d_v * a_v + (d_m - drag / m) * a_m) / m)
+           + q_v * am_v)
+    den = lm * (k * tm * p_m / m
+                + mcs * (tm * av_v + p_m * av_m + tm * a_m / m)
+                + tm * am_v + p_m * am_m + ctx.cs_slope * tmax * a_v)
     if abs(den) <= eps_den:
         raise SingularDenominatorError(
             f"<lambda, D> = {den:.3e} below threshold {eps_den:.1e}"
         )
-    lam = tuple(alpha * li for li in lam_u)
-    return FeedbackEval(
-        throttle=-num / den,
-        lam=lam,
-        det_scaled=det,
-        lc=-alpha * den,
-        chidot=chidot,
-    )
-
-
-def _det_at(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-            chi: float) -> float:
-    return scaled_det(build_M(ctx, x, y, v, m, chi))
+    return FeedbackEval(-lm * num / den,
+                        (alpha * lx, alpha * ly, alpha * lv, alpha * lm),
+                        det, -alpha * den)
 
 
 def singular_throttle_alpha0(ctx: CruiseContext, x: float, y: float, v: float,
-                             m: float, chi: float, chidot: float,
-                             fd_rel: float = 1e-6,
+                             m: float, chi: float, grads,
                              eps_den: float = EPS_DEN) -> FeedbackEval:
     """Zero-time-weight singular throttle from determinant transport.
 
     With zero cost weight the algebraic co-state solve degenerates and the
-    singular arc rides the zero set of det(M); holding d/dt det(M) = 0 along
-    the flow gives the throttle.  The full transport derivative is used,
-    including the heading-rate term (which vanishes for constant wind).
+    singular arc holds the equilibrated determinant of `scaled_det` at its
+    value from t1: d/dt det = d_Q det + pi d_P det = 0, where d_F is the
+    derivative along the field F.  The derivative along Q includes the
+    heading-rate term (which vanishes for constant wind).  Both come from
+    det = g / N, g = -(T/m)^2 delta / (s_x s_v s_m), N the product of the
+    three row norms, by the quotient rule.  `grads` are the wind gradients
+    at (x, y).
     """
-    xs = (x, y, v, m)
-    grad = [0.0] * 4
-    for i in range(4):
-        h = fd_rel * max(STATE_SCALES[i], abs(xs[i]))
-        pert = list(xs)
-        pert[i] = xs[i] + h
-        fp = _det_at(ctx, pert[0], pert[1], pert[2], pert[3], chi)
-        pert[i] = xs[i] - h
-        fm = _det_at(ctx, pert[0], pert[1], pert[2], pert[3], chi)
-        grad[i] = (fp - fm) / (2.0 * h)
-    hc = fd_rel
-    det_chi = (_det_at(ctx, x, y, v, m, chi + hc)
-               - _det_at(ctx, x, y, v, m, chi - hc)) / (2.0 * hc)
-    q = eval_Q(ctx, x, y, v, m, chi)
-    p = eval_P(ctx, v, m)
-    num = sum(grad[i] * q[i] for i in range(4)) + det_chi * chidot
-    den = sum(grad[i] * p[i] for i in range(4))
+    chidot = zermelo_rhs(chi, grads)
+    tmax, cs_v = ctx.T_max, ctx.cs_slope
+    (c, s, vg, wn, pol, k, delta, rows, (np2, na2, nq2),
+     det) = _system(ctx, x, y, v, m, chi)
+    cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = pol
+    p0, p1, r0, r1, r2, q0, q1, q2 = rows
+    tm = tmax / m
+    norm = math.sqrt(np2 * na2 * nq2)
+    scale = _SX * _SV * _SM
+    g = -tm * tm * delta / scale
+
+    def rate(dv, dm, dwx, dwy, dchi):
+        dvg = dv + c * dwx + s * dwy + wn * dchi
+        dwn = c * dwy - s * dwx - (vg - v) * dchi
+        dcs = cs_v * dv
+        dtm = -tm * dm / m
+        dav = av_v * dv + av_m * dm
+        dam = am_v * dv + am_m * dm
+        ddrag = d_v * dv + d_m * dm
+        dk = (m * (m * (dcs * a_v + cs * dav) + dam)
+              + dm * (2.0 * m * cs * a_v + a_m)) / tmax
+        ddelta = dk * vg + k * dvg - dcs * drag - cs * ddrag
+        dg = -(2.0 * tm * dtm * delta + tm * tm * ddelta) / scale
+        dlog = ((p0 * dtm / _SV + p1 * dcs * tmax / _SM) / np2
+                + (r0 * dtm / _SX + r1 * dav / _SV + r2 * dam / _SM) / na2
+                + (q0 * dvg / _SX + q1 * dwn / _SX
+                   + q2 * (ddrag - drag * dm / m) / (m * _SV)) / nq2)
+        return (dg - g * dlog) / norm
+
+    wxx, wxy, wyx, wyy = grads
+    qx, qy = vg * c - wn * s, vg * s + wn * c      # ground velocity
+    num = rate(-drag / m, 0.0, wxx * qx + wxy * qy, wyx * qx + wyy * qy,
+               chidot)
+    den = rate(tm, -cs * tmax, 0.0, 0.0, 0.0)
     if abs(den) <= eps_den:
         raise DegenerateArcError(
             f"determinant-gradient denominator {den:.3e} below {eps_den:.1e}"
         )
-    return FeedbackEval(
-        throttle=-num / den,
-        lam=None,
-        det_scaled=_det_at(ctx, x, y, v, m, chi),
-        lc=math.nan,
-        chidot=chidot,
-    )
+    return FeedbackEval(-num / den, None, det, math.nan)
 
 
 def evaluate_feedback(ctx: CruiseContext, x: float, y: float, v: float,
@@ -362,12 +340,10 @@ def evaluate_feedback(ctx: CruiseContext, x: float, y: float, v: float,
                       eps_den: float = EPS_DEN) -> FeedbackEval:
     """Singular throttle at a point, dispatching on the cost weight."""
     grads = ctx.wind.wind_gradients(x, y)
-    chidot = zermelo_rhs(chi, grads)
     if alpha == 0.0:
-        return singular_throttle_alpha0(ctx, x, y, v, m, chi, chidot,
-                                        eps_den=eps_den)
-    return singular_throttle(ctx, x, y, v, m, chi, chidot, alpha,
-                             eps_det, eps_den)
+        return singular_throttle_alpha0(ctx, x, y, v, m, chi, grads, eps_den)
+    return singular_throttle(ctx, x, y, v, m, chi, grads, alpha, eps_det,
+                             eps_den)
 
 
 def legendre_clebsch(ctx: CruiseContext, x: float, y: float, v: float,

@@ -476,13 +476,14 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     total_outer += polish.n_outer
 
     endgame = _TerminalPolish(rollout_hi, alpha)
-    z_final, restored, _ = endgame.run(
+    z_final, restored, opt_ok = endgame.run(
         polish.z, feas_tol=0.01 * options.feas_tol)
     sched = rollout_hi.decode(z_final)
     sol = realize_solution(scn, sched, alpha=alpha, steps=options.steps)
     feas = float(np.max(np.abs(sol.residuals / np.array(
         [STATE_SCALES[0], STATE_SCALES[1], STATE_SCALES[2]]))))
-    sol.converged = bool(polish.converged or restored) and feas <= options.feas_tol
+    sol.converged = (bool(polish.converged or restored) and opt_ok
+                     and feas <= options.feas_tol)
     sol.n_fev = total_fev
     sol.n_outer = total_outer
     sol.start_index = best_idx
@@ -640,11 +641,14 @@ def verify_solution(sol: Solution,
         rep.checks.append(CheckResult(
             "transversality_lam_m", err <= tol.tol_lam_m, err, tol.tol_lam_m,
             f"lam_m(tf)={lam_m_f:.6f}"))
+        # sine of the angle between (lam_x, lam_y) and the heading line;
+        # no pole at chi = +-pi/2
         lam_x = traj.costates[:, 0]
         lam_y = traj.costates[:, 1]
         chi = traj.states[:, 4]
         with np.errstate(divide="ignore", invalid="ignore"):
-            resid = np.abs(np.tan(chi) - lam_y / lam_x)
+            resid = (np.abs(lam_x * np.sin(chi) - lam_y * np.cos(chi))
+                     / np.hypot(lam_x, lam_y))
         chi_err = float(np.nanmax(resid))
         rep.checks.append(CheckResult(
             "heading_costate_consistency", chi_err <= tol.tol_chi, chi_err,

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cruiseopt.dynamics import eval_P, eval_Q
 from cruiseopt.errors import IllConditionedSystemError
-from cruiseopt.pmp import (STATE_SCALES, build_M, costate_rhs,
-                           costates_adjugate, evaluate_feedback, hamiltonian,
-                           legendre_clebsch, lie_A, lie_B_D, scaled_det,
-                           singular_throttle, solve_costates_on_singular,
-                           solve_costates_unit, switching_function)
+from cruiseopt.pmp import (STATE_SCALES, costate_rhs, evaluate_feedback,
+                           hamiltonian, legendre_clebsch, lie_A, lie_B_D,
+                           scaled_det, singular_throttle,
+                           solve_costates_on_singular, solve_costates_unit,
+                           switching_function)
 from cruiseopt.scenario import default_scenario_path, load_scenario, make_context
+
+import pmp_oracle
 
 SCN = load_scenario(default_scenario_path())
 CTX = make_context(SCN)
@@ -111,6 +115,8 @@ def test_algebraic_costate_satisfies_defining_equations():
             -alpha, rel=1e-10)
         assert lam[0] * math.tan(chi) - lam[1] == pytest.approx(
             0.0, abs=1e-15)
+        assert (lam[0] * math.sin(chi) - lam[1] * math.cos(chi)
+                == pytest.approx(0.0, abs=1e-15))
         assert switching_function(CTX, v, m, lam) == pytest.approx(
             0.0, abs=1e-9 * alpha)
 
@@ -124,12 +130,13 @@ def test_costate_scales_linearly_with_cost_weight():
             tuple(alpha * u for u in unit), rel=1e-14)
 
 
-def test_adjugate_oracle_matches_lu_solve():
+def test_adjugate_oracle_matches_closed_form_solve():
     rng = np.random.default_rng(24)
     for _ in range(30):
         x, y, v, m, chi = random_point(rng)
         lu = solve_costates_on_singular(CTX, x, y, v, m, chi, 0.4).as_tuple()
-        adj = costates_adjugate(CTX, x, y, v, m, chi, 0.4).as_tuple()
+        adj = pmp_oracle.costates_adjugate(
+            CTX, x, y, v, m, chi, 0.4).as_tuple()
         for a, b in zip(lu, adj):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-18)
 
@@ -137,8 +144,9 @@ def test_adjugate_oracle_matches_lu_solve():
 def test_singular_feedback_throttle_is_weight_invariant():
     # the feedback ratio is homogeneous of degree zero in the co-state
     x, y, v, m, chi = 5e5, 2.5e5, 228.0, 53000.0, 0.65
-    fb1 = singular_throttle(CTX, x, y, v, m, chi, 1e-5, 0.1)
-    fb2 = singular_throttle(CTX, x, y, v, m, chi, 1e-5, 0.9)
+    grads = CTX.wind.wind_gradients(x, y)
+    fb1 = singular_throttle(CTX, x, y, v, m, chi, grads, 0.1)
+    fb2 = singular_throttle(CTX, x, y, v, m, chi, grads, 0.9)
     assert fb1.throttle == pytest.approx(fb2.throttle, rel=1e-12)
     assert fb1.lc / 0.1 == pytest.approx(fb2.lc / 0.9, rel=1e-12)
 
@@ -177,7 +185,7 @@ def test_scaled_det_bounded_by_one():
     rng = np.random.default_rng(26)
     for _ in range(50):
         x, y, v, m, chi = random_point(rng)
-        assert abs(scaled_det(build_M(CTX, x, y, v, m, chi))) <= 1.0 + 1e-12
+        assert abs(scaled_det(CTX, x, y, v, m, chi)) <= 1.0 + 1e-12
 
 
 def test_zero_weight_feedback_has_no_costate():
@@ -189,3 +197,46 @@ def test_zero_weight_feedback_has_no_costate():
     assert math.isfinite(fb.throttle)
     fb_pos = evaluate_feedback(CTX, 5e5, 2.5e5, 228.0, 53000.0, 0.65, 0.4)
     assert fb_pos.lam is not None
+
+
+# admissible states with every heading, including both sides of the poles of
+# the former tan-form heading row
+_NEAR_POLES = [sgn * math.pi / 2 + eps for sgn in (1.0, -1.0)
+               for eps in (-1e-9, 0.0, 1e-9)] + [math.pi, -math.pi]
+STATES = st.tuples(
+    st.floats(0.0, SCN.xf), st.floats(0.0, SCN.yf), st.floats(160.0, 270.0),
+    st.floats(45000.0, SCN.m0),
+    st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(_NEAR_POLES)))
+
+
+@given(STATES)
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_match_matrix_oracle(state):
+    """Co-state, determinant, throttle and Legendre-Clebsch value against a
+    dense solve of the 4x4 system with finite-difference brackets."""
+    lam = np.array(solve_costates_on_singular(CTX, *state, 0.4).as_tuple())
+    ref = np.array(pmp_oracle.costates_solve(CTX, *state, 0.4).as_tuple())
+    scales = np.array(STATE_SCALES)
+    assert (np.max(np.abs((lam - ref) * scales))
+            <= 1e-9 * np.max(np.abs(ref * scales)))
+    det = scaled_det(CTX, *state)
+    assert det == pytest.approx(pmp_oracle.scaled_det(CTX, *state), rel=1e-9)
+    fb = evaluate_feedback(CTX, *state, 0.4)
+    throttle, lc = pmp_oracle.singular_throttle(CTX, *state, 0.4)
+    assert fb.det_scaled == det
+    assert fb.lc == pytest.approx(
+        legendre_clebsch(CTX, *state, fb.lam), rel=1e-12)
+    assert fb.throttle == pytest.approx(throttle, rel=1e-9, abs=1e-9)
+    # the oracle's brackets carry central-difference error of about 1e-10
+    assert fb.lc == pytest.approx(lc, rel=1e-8)
+
+
+@given(STATES)
+@settings(max_examples=300, deadline=None)
+def test_zero_weight_throttle_matches_fd_determinant_transport(state):
+    """The zero-weight throttle differentiates the same equilibrated
+    determinant that `scaled_det` returns."""
+    fb = evaluate_feedback(CTX, *state, 0.0)
+    assert fb.det_scaled == scaled_det(CTX, *state)
+    assert fb.throttle == pytest.approx(
+        pmp_oracle.throttle_alpha0(CTX, *state), rel=1e-7, abs=1e-7)

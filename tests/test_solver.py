@@ -1,6 +1,7 @@
 """Switching-point solver tests: decode, start grid, verification, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from cruiseopt.errors import DegenerateGeometryError
 from cruiseopt.pmp import TIME_SCALE
 from cruiseopt.scenario import Scenario
 from cruiseopt.solver import (SolverOptions, _IndirectRollout, _start_grid,
-                              chi0_constant_wind, realize_solution,
-                              solve_indirect, sweep_alpha, verify_solution)
+                              _TerminalPolish, chi0_constant_wind,
+                              realize_solution, solve_indirect, sweep_alpha,
+                              verify_solution)
 from cruiseopt.wind import ConstantWind
 
 from conftest import fast_options
@@ -102,6 +104,56 @@ def test_verify_report_round_trip(sol_04):
         rep.by_name("nonexistent_check")
     text = rep.summary()
     assert "PASS" in text and "FAIL" not in text
+
+
+def _due_north(scn, sched):
+    """The constant-wind problem rotated about its origin so that the
+    heading of `sched` points due north; rotation leaves the optimal
+    schedule unchanged.  The endpoint's east coordinate is set to the
+    wind's drift exactly, so the pinned heading is exactly pi/2."""
+    rot = math.pi / 2 - sched.chi0
+    c, s = math.cos(rot), math.sin(rot)
+    wx = c * scn.wind.W_x - s * scn.wind.W_y
+    wy = s * scn.wind.W_x + c * scn.wind.W_y
+    north = Scenario(
+        0.0, 0.0, wx * sched.tf, s * scn.xf + c * scn.yf, scn.v0, scn.vf,
+        scn.m0, scn.h, scn.alpha, scn.pi_min, scn.pi_max,
+        ConstantWind(wx, wy), scn.aircraft, scn.aircraft_file)
+    return north, replace(sched, chi0=chi0_constant_wind(north, sched.tf))
+
+
+def test_due_north_route_verifies(sol_cw):
+    # chi = pi/2 is a pole of tan(chi); the heading/co-state check must
+    # measure alignment without it
+    assert sol_cw.scenario.x0 == sol_cw.scenario.y0 == 0.0
+    north, sched = _due_north(sol_cw.scenario, sol_cw.schedule)
+    assert sched.chi0 == math.pi / 2
+    sol = realize_solution(north, sched, alpha=sol_cw.alpha, steps=200)
+    assert np.all(sol.trajectory.states[:, 4] == math.pi / 2)
+    assert np.max(np.abs(sol.residuals)) < 1.0
+    rep = verify_solution(sol)
+    assert rep.all_passed, rep.summary()
+    assert rep.by_name("heading_costate_consistency").extreme <= 1e-6
+
+
+def test_cold_solve_reports_endgame_optimality(monkeypatch, scenario_cw,
+                                               sol_cw):
+    """A feasible endgame result whose co-state equation did not close is
+    not converged; the same result with it closed is."""
+    sched = sol_cw.schedule
+    z_opt = np.array([sched.t1, sched.t2, sched.tf]) / TIME_SCALE
+    # a short multistart: the stubbed endgame decides the outcome
+    opts = fast_options(n_starts=1, screen_maxfev=8, nm_maxfev=8,
+                        polish_maxfev=8, screen_outer=1, max_outer=1,
+                        polish_outer=1, nlp_steps=20)
+    converged = {}
+    for opt_ok in (True, False):
+        monkeypatch.setattr(
+            _TerminalPolish, "run",
+            lambda self, z0, feas_tol, max_iter=8, _ok=opt_ok: (
+                z_opt, True, _ok))
+        converged[opt_ok] = solve_indirect(scenario_cw, opts).converged
+    assert converged == {True: True, False: False}
 
 
 def test_realize_solution_reproduces_cost(sol_04):
