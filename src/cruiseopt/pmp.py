@@ -125,18 +125,12 @@ def lie_A(ctx: CruiseContext, v: float, m: float, chi: float):
     return (-tm * math.cos(chi), -tm * math.sin(chi), pol[4], pol[5])
 
 
-def lie_B_D(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-            chi: float):
-    """Second-level bracket vectors, analytic.
-
-    B = (dA/dX) Q - (dQ/dX) A  and  D = (dA/dX) P - (dP/dX) A.  Only the v
-    and m columns of dA/dX are nonzero and Q has no mass component, so
-    (dA/dX) Q = Q_v dA/dv and (dA/dX) P = P_v dA/dv + P_m dA/dm.
-    """
+def _brackets(ctx: CruiseContext, m: float, c: float, s: float, pol, grads):
+    """B and D from the `_polar` tuple, the heading's cosine and sine and the
+    wind gradients; see `lie_B_D`."""
     tmax = ctx.T_max
-    cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = _polar(ctx, v, m)
-    wxx, wxy, wyx, wyy = ctx.wind.wind_gradients(x, y)
-    c, s = math.cos(chi), math.sin(chi)
+    cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = pol
+    wxx, wxy, wyx, wyy = grads
     tm = tmax / m
     q_v = -drag / m
     p_m = -cs * tmax
@@ -149,6 +143,18 @@ def lie_B_D(ctx: CruiseContext, x: float, y: float, v: float, m: float,
          tm * av_v + p_m * av_m + tm * a_m / m,
          tm * am_v + p_m * am_m + ctx.cs_slope * tmax * a_v)
     return b, d
+
+
+def lie_B_D(ctx: CruiseContext, x: float, y: float, v: float, m: float,
+            chi: float):
+    """Second-level bracket vectors, analytic.
+
+    B = (dA/dX) Q - (dQ/dX) A  and  D = (dA/dX) P - (dP/dX) A.  Only the v
+    and m columns of dA/dX are nonzero and Q has no mass component, so
+    (dA/dX) Q = Q_v dA/dv and (dA/dX) P = P_v dA/dv + P_m dA/dm.
+    """
+    return _brackets(ctx, m, math.cos(chi), math.sin(chi), _polar(ctx, v, m),
+                     ctx.wind.wind_gradients(x, y))
 
 
 def _system(ctx: CruiseContext, x: float, y: float, v: float, m: float,
@@ -253,30 +259,16 @@ def singular_throttle(ctx: CruiseContext, x: float, y: float, v: float,
     """
     sysm = _system(ctx, x, y, v, m, chi)
     lx, ly, lv, lm = _unit_costate(m, sysm, eps_det)
-    c, s, _, _, pol, k, _, _, _, det = sysm
-    cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = pol
-    wxx, wxy, wyx, wyy = grads
-    tmax = ctx.T_max
-    tm = tmax / m
-    q_v = -drag / m
-    p_m = -cs * tmax
-    mcs = m * cs
-    # <lambda, B> and <lambda, D> of `lie_B_D` over lam_m, written out for
-    # lambda = lam_m (k cos, k sin, m C_s, 1)
-    num = (k * (tm * (c * (wxx * c + wxy * s) + s * (wyx * c + wyy * s))
-                - a_v)
-           + mcs * (q_v * av_v + (d_v * a_v + (d_m - drag / m) * a_m) / m)
-           + q_v * am_v)
-    den = lm * (k * tm * p_m / m
-                + mcs * (tm * av_v + p_m * av_m + tm * a_m / m)
-                + tm * am_v + p_m * am_m + ctx.cs_slope * tmax * a_v)
+    b, d = _brackets(ctx, m, sysm[0], sysm[1], sysm[4], grads)
+    num = lx * b[0] + ly * b[1] + lv * b[2] + lm * b[3]
+    den = lx * d[0] + ly * d[1] + lv * d[2] + lm * d[3]
     if abs(den) <= eps_den:
         raise SingularDenominatorError(
             f"<lambda, D> = {den:.3e} below threshold {eps_den:.1e}"
         )
-    return FeedbackEval(-lm * num / den,
+    return FeedbackEval(-num / den,
                         (alpha * lx, alpha * ly, alpha * lv, alpha * lm),
-                        det, -alpha * den)
+                        sysm[9], -alpha * den)
 
 
 def singular_throttle_alpha0(ctx: CruiseContext, x: float, y: float, v: float,

@@ -344,9 +344,9 @@ class _TerminalPolish:
             z_opt, r_opt = self._gauss_newton(z, True, max_iter, feas_tol)
             if r_opt is not None and np.max(np.abs(r_opt[:3])) <= feas_tol:
                 z, r = z_opt, r_opt
-                opt_ok = opt_ok or abs(r_opt[3]) <= 1e-10
+                opt_ok = opt_ok or bool(abs(r_opt[3]) <= 1e-10)
         feas = float(np.max(np.abs(r[:3])))
-        return z, feas <= feas_tol, opt_ok
+        return z, feas <= feas_tol, bool(opt_ok)
 
 
 def _start_grid(scn: Scenario, alpha: float, options: SolverOptions,
@@ -482,7 +482,7 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     sol = realize_solution(scn, sched, alpha=alpha, steps=options.steps)
     feas = float(np.max(np.abs(sol.residuals / np.array(
         [STATE_SCALES[0], STATE_SCALES[1], STATE_SCALES[2]]))))
-    sol.converged = (bool(polish.converged or restored) and opt_ok
+    sol.converged = (bool(polish.converged or restored) and bool(opt_ok)
                      and feas <= options.feas_tol)
     sol.n_fev = total_fev
     sol.n_outer = total_outer

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cruiseopt.cli import write_solution_dir
 from cruiseopt.errors import DegenerateGeometryError
 from cruiseopt.pmp import TIME_SCALE
 from cruiseopt.scenario import Scenario
@@ -136,10 +137,11 @@ def test_due_north_route_verifies(sol_cw):
     assert rep.by_name("heading_costate_consistency").extreme <= 1e-6
 
 
-def test_cold_solve_reports_endgame_optimality(monkeypatch, scenario_cw,
-                                               sol_cw):
+def test_cold_solve_reports_endgame_optimality(monkeypatch, tmp_path,
+                                               scenario_cw, sol_cw):
     """A feasible endgame result whose co-state equation did not close is
-    not converged; the same result with it closed is."""
+    not converged; the same result with it closed is.  The flag is a plain
+    bool even when the endgame reports a NumPy one, so it serializes."""
     sched = sol_cw.schedule
     z_opt = np.array([sched.t1, sched.t2, sched.tf]) / TIME_SCALE
     # a short multistart: the stubbed endgame decides the outcome
@@ -151,8 +153,11 @@ def test_cold_solve_reports_endgame_optimality(monkeypatch, scenario_cw,
         monkeypatch.setattr(
             _TerminalPolish, "run",
             lambda self, z0, feas_tol, max_iter=8, _ok=opt_ok: (
-                z_opt, True, _ok))
-        converged[opt_ok] = solve_indirect(scenario_cw, opts).converged
+                z_opt, True, np.bool_(_ok)))
+        sol = solve_indirect(scenario_cw, opts)
+        assert type(sol.converged) is bool
+        write_solution_dir(sol, tmp_path / str(opt_ok), steps=20)
+        converged[opt_ok] = sol.converged
     assert converged == {True: True, False: False}
 
 
