@@ -10,7 +10,7 @@ solver provides an independent cross-check.
 
 from .atmosphere import AircraftModel, Atmosphere, load_aircraft
 from .direct import DirectOptions, DirectSolution, solve_direct
-from .dynamics import Controls, CruiseContext, State
+from .dynamics import CruiseContext
 from .integrate import ArcSchedule, Trajectory, integrate_arcs, reconstruct_costates
 from .pmp import Costate
 from .scenario import Scenario, load_scenario, make_context, save_scenario
@@ -21,7 +21,7 @@ from .wind import ConstantWind, PolynomialWind
 __all__ = [
     "AircraftModel", "Atmosphere", "load_aircraft",
     "DirectOptions", "DirectSolution", "solve_direct",
-    "Controls", "CruiseContext", "State",
+    "CruiseContext",
     "ArcSchedule", "Trajectory", "integrate_arcs", "reconstruct_costates",
     "Costate",
     "Scenario", "load_scenario", "make_context", "save_scenario",

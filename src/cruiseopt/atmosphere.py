@@ -106,43 +106,6 @@ def air_density(atm: Atmosphere, h: float) -> float:
     return atm.pressure(h) / (atm.R * atm.temperature(h))
 
 
-def drag(model: AircraftModel, atm: Atmosphere, m: float, v: float, h: float) -> float:
-    """Parabolic-polar drag force (N) in level flight."""
-    if v <= 0.0:
-        raise DomainError("airspeed must be positive (lift coefficient singular)")
-    if m <= 0.0:
-        raise DomainError("mass must be positive")
-    rho = air_density(atm, h)
-    qs = 0.5 * rho * model.s * v * v
-    cl = 2.0 * m * atm.g / (rho * model.s * v * v)
-    return qs * (model.C_D1 + model.C_D2 * cl * cl)
-
-
-def drag_partials(
-    model: AircraftModel, atm: Atmosphere, m: float, v: float, h: float
-) -> tuple[float, float]:
-    """Analytic (dD/dv, dD/dm).
-
-    D = (1/2) rho s C_D1 v^2 + 2 C_D2 g^2 m^2 / (rho s v^2).
-    """
-    if v <= 0.0:
-        raise DomainError("airspeed must be positive")
-    rho = air_density(atm, h)
-    g2 = atm.g * atm.g
-    dv = rho * model.s * model.C_D1 * v - 4.0 * model.C_D2 * g2 * m * m / (
-        rho * model.s * v ** 3
-    )
-    dm = 4.0 * model.C_D2 * g2 * m / (rho * model.s * v * v)
-    return dv, dm
-
-
-def fuel_flow_coeff(model: AircraftModel, v: float) -> float:
-    """Specific fuel consumption (kg/(s N)), affine in airspeed."""
-    if v < 0.0:
-        raise DomainError("airspeed must be nonnegative")
-    return model.C_s1 * (1.0 + v / model.C_s2)
-
-
 def fuel_flow_slope(model: AircraftModel) -> float:
     """d C_s / d v, a model constant."""
     return model.C_s1 / model.C_s2

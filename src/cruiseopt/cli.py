@@ -24,7 +24,7 @@ from .integrate import ArcSchedule
 from .scenario import (Scenario, default_scenario_path, load_scenario,
                        save_scenario)
 from .solver import (Solution, SolverOptions, realize_solution, solve_indirect,
-                     verify_solution)
+                     sweep_alpha, verify_solution)
 
 _CSV_HEADER = ["t", "x", "y", "v", "m", "chi", "pi", "S", "H",
                "lam_x", "lam_y", "lam_v", "lam_m", "lc", "detM",
@@ -248,8 +248,7 @@ def _cmd_sweep_alpha(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = 0
-    for a in alphas:
-        sol = solve_indirect(scn.replace_alpha(a), opts)
+    for a, sol in zip(alphas, sweep_alpha(scn, alphas, opts)):
         sol.verification = verify_solution(sol)
         write_solution_dir(sol, outdir / f"alpha_{a:g}", opts.steps)
         rows.append((a, sol.schedule.t1, sol.schedule.t2, sol.schedule.tf,
@@ -317,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nodes", type=int, default=None)
     sp.set_defaults(func=_cmd_compare)
 
-    sp = sub.add_parser("sweep-alpha", help="solve a list of cost weights")
+    sp = sub.add_parser(
+        "sweep-alpha",
+        help="solve a list of cost weights by warm-started continuation")
     common(sp)
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--alphas", required=True,

@@ -4,9 +4,9 @@ Controls are piecewise-constant per node (heading and throttle both free --
 this solver must not assume the navigation law it is meant to validate) and
 the rollout is forward Euler, deliberately simpler than the indirect
 integrator.  The same augmented-Lagrangian outer loop enforces the terminal
-conditions; the inner minimizer is projected L-BFGS-B with batched
-central-difference gradients (the rollout is cheap enough to difference all
-controls at once as one wide vectorized sweep).
+conditions; the inner minimizer is a projected damped Gauss-Newton method
+with batched central-difference gradients (the rollout is cheap enough to
+difference all controls at once as one wide vectorized sweep).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .dynamics import CruiseContext
 from .errors import ValidationError
+from .nlp import solve_augmented_lagrangian
 from .pmp import STATE_SCALES
 from .scenario import Scenario, make_context
 
@@ -29,6 +30,9 @@ _V_FLOOR = 5.0  # m/s; keeps the vectorized drag finite on absurd iterates
 # component makes L-BFGS-B's unit-norm first step jump hundreds of seconds
 # and the line search cannot recover
 _TF_UNIT = 10.0
+_FEAS_TOL = 1e-5   # on the scaled terminal residuals
+_FD_STEP = 1e-5
+_RHO0 = 1e6
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,8 @@ class DirectGrid:
 @dataclass(frozen=True)
 class DirectOptions:
     N: int = 400
-    feas_tol: float = 1e-5     # scaled terminal residuals
     max_outer: int = 8
     maxiter_inner: int = 150
-    fd_step: float = 1e-5
-    rho0: float = 1e6
 
 
 @dataclass
@@ -156,56 +157,56 @@ class _GaussNewtonInner:
     single gradient component dominates.
     """
 
-    def __init__(self, rollout: _DirectRollout, lower, upper,
-                 maxiter: int, fd_step: float):
+    def __init__(self, rollout: _DirectRollout, lower, upper, maxiter: int):
         self.rollout = rollout
         self.lb = np.asarray(lower, dtype=float)
         self.ub = np.asarray(upper, dtype=float)
         self.maxiter = maxiter
-        self.fd_step = fd_step
-        self.nu = np.zeros(3)
-        self.rho = 1.0
 
     def _sweep(self, z):
         """Terminal-state Jacobian (4, ndim) by batched central differences."""
         ndim = len(z)
         cols = np.repeat(z[:, None], 2 * ndim, axis=1)
         idx = np.arange(ndim)
-        cols[idx, 2 * idx] += self.fd_step
-        cols[idx, 2 * idx + 1] -= self.fd_step
+        cols[idx, 2 * idx] += _FD_STEP
+        cols[idx, 2 * idx + 1] -= _FD_STEP
         finals = self.rollout.finals(cols)
-        return (finals[:, 0::2] - finals[:, 1::2]) / (2.0 * self.fd_step)
+        return (finals[:, 0::2] - finals[:, 1::2]) / (2.0 * _FD_STEP)
 
-    def _model(self, z):
-        out = self.rollout(z)
-        if out is None:
-            return np.inf, None, None
-        j, c = out
-        return j + self.nu @ c + 0.5 * self.rho * (c @ c), j, c
+    def __call__(self, model, z0):
+        """Minimize the penalized `model` from z0 with the multipliers
+        `model.nu` and penalty `model.rho`; returns (z, evaluations)."""
+        nu, rho = model.nu, model.rho
 
-    def __call__(self, z0):
+        def penalized(z):
+            out = self.rollout(z)
+            if out is None:
+                return np.inf, None
+            j, c = out
+            return j + nu @ c + 0.5 * rho * (c @ c), c
+
         alpha = self.rollout.alpha
         z = np.clip(np.array(z0, dtype=float), self.lb, self.ub)
         nfev = 0
         mu = 1e3
-        m0, _, c = self._model(z)
+        m0, c = penalized(z)
         nfev += 1
         for _ in range(self.maxiter):
             jac_fin = self._sweep(z)
             nfev += 1
             jc = jac_fin[:3] / np.array([_POS, _POS, _SPD])[:, None]
-            g = (alpha - 1.0) * jac_fin[3] + jc.T @ (self.nu + self.rho * c)
+            g = (alpha - 1.0) * jac_fin[3] + jc.T @ (nu + rho * c)
             g[-1] += alpha * _TF_UNIT
             moved = 0.0
             accepted = False
             for _ in range(12):
                 # (mu I + rho Jc'Jc)^-1 g via the 3x3 dual system
                 rhs = jc @ g
-                small = mu * np.eye(3) + self.rho * (jc @ jc.T)
+                small = mu * np.eye(3) + rho * (jc @ jc.T)
                 zsol = np.linalg.solve(small, rhs)
-                step = -(g - self.rho * (jc.T @ zsol)) / mu
+                step = -(g - rho * (jc.T @ zsol)) / mu
                 z_try = np.clip(z + step, self.lb, self.ub)
-                m_try, _, c_try = self._model(z_try)
+                m_try, c_try = penalized(z_try)
                 nfev += 1
                 if m_try < m0:
                     moved = float(np.max(np.abs(z_try - z)))
@@ -259,45 +260,12 @@ def solve_direct(scn: Scenario, options: DirectOptions | None = None,
         np.full(N, -math.pi), np.full(N, scn.pi_min), [10.0]])
     upper = np.concatenate([
         np.full(N, math.pi), np.full(N, scn.pi_max), [3000.0]])
-    inner = _GaussNewtonInner(rollout, lower, upper, options.maxiter_inner,
-                              options.fd_step)
+    inner = _GaussNewtonInner(rollout, lower, upper, options.maxiter_inner)
+    res = solve_augmented_lagrangian(rollout, u0, 3, inner,
+                                     feas_tol=_FEAS_TOL,
+                                     max_outer=options.max_outer, rho0=_RHO0)
 
-    def evaluate(u):
-        return rollout(u)
-
-    # multiplier loop kept local: the inner minimizer needs the current
-    # (nu, rho) to assemble its Gauss-Newton system
-    nu = np.zeros(3)
-    rho = options.rho0
-    u = u0.copy()
-    n_fev = 0
-    prev_feas = np.inf
-    converged = False
-    n_outer = 0
-    best = None
-    for outer in range(options.max_outer):
-        n_outer = outer + 1
-        inner.nu = nu.copy()
-        inner.rho = rho
-        u, fev = inner(u)
-        n_fev += fev
-        j, c = evaluate(u)
-        feas = float(np.max(np.abs(c)))
-        if best is None or feas < best[0]:
-            best = (feas, u.copy(), j, c.copy())
-        nu = nu + rho * c
-        if feas <= options.feas_tol:
-            converged = True
-            break
-        if feas > 0.25 * prev_feas:
-            rho = min(rho * 10.0, 1e12)
-        prev_feas = feas
-
-    if not converged:
-        _, u, j, c = best
-        j, c = evaluate(u)
-
-    chi, pi, tf = rollout.split(u)
+    chi, pi, tf = rollout.split(res.z)
     final, states = euler_rollout(ctx, rollout.x0, chi, pi, tf, N,
                                   full_output=True)
     j, c = rollout.cost_resid_from_final(final, tf)
@@ -312,9 +280,9 @@ def solve_direct(scn: Scenario, options: DirectOptions | None = None,
         states=states,
         cost=float(j),
         residuals=resid_phys,
-        converged=converged,
-        n_fev=n_fev,
-        n_outer=n_outer,
+        converged=res.converged,
+        n_fev=res.n_fev,
+        n_outer=res.n_outer,
     )
 
 

@@ -15,9 +15,6 @@ at the fixed cruise altitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .atmosphere import (
     AircraftModel,
@@ -27,31 +24,6 @@ from .atmosphere import (
     max_thrust,
 )
 from .wind import WindField
-
-
-@dataclass(frozen=True)
-class State:
-    x: float   # m
-    y: float   # m
-    v: float   # m/s
-    m: float   # kg
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.v, self.m])
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """State plus the heading carried as a fifth, unwrapped coordinate."""
-
-    base: State
-    chi: float  # rad, continuous along a trajectory (no branch jumps)
-
-
-@dataclass(frozen=True)
-class Controls:
-    chi: float       # rad
-    throttle: float  # dimensionless
 
 
 class CruiseContext:
@@ -105,40 +77,15 @@ def eval_P(ctx: CruiseContext, v: float, m: float) -> tuple[float, float, float,
 
 
 def eval_F(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-           chi: float, throttle: float) -> tuple[float, float, float, float]:
-    """Full dynamics F = Q + pi * P."""
-    q = eval_Q(ctx, x, y, v, m, chi)
-    p = eval_P(ctx, v, m)
-    return (q[0] + throttle * p[0], q[1] + throttle * p[1],
-            q[2] + throttle * p[2], q[3] + throttle * p[3])
-
-
-def jacobian_Q(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-               chi: float):
-    """d Q / d (x, y, v, m) as a 4-tuple of row 4-tuples."""
-    dwx_dx, dwx_dy, dwy_dx, dwy_dy = ctx.wind.wind_gradients(x, y)
-    d = ctx.drag(m, v)
-    d_v, d_m = ctx.drag_partials(m, v)
-    return (
-        (dwx_dx, dwx_dy, math.cos(chi), 0.0),
-        (dwy_dx, dwy_dy, math.sin(chi), 0.0),
-        (0.0, 0.0, -d_v / m, -d_m / m + d / (m * m)),
-        (0.0, 0.0, 0.0, 0.0),
-    )
-
-
-def jacobian_P(ctx: CruiseContext, v: float, m: float):
-    """d P / d (x, y, v, m); rows 1-2 are identically zero."""
-    return (
-        (0.0, 0.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0, -ctx.T_max / (m * m)),
-        (0.0, 0.0, -ctx.cs_slope * ctx.T_max, 0.0),
-    )
-
-
-def dQ_dchi(v: float, chi: float) -> tuple[float, float, float, float]:
-    return (-v * math.sin(chi), v * math.cos(chi), 0.0, 0.0)
+           chi: float, throttle: float,
+           wind=None) -> tuple[float, float, float, float]:
+    """Full dynamics F = Q + pi * P, written out; `wind`, the wind at
+    (x, y), is looked up unless the caller has it already."""
+    wx, wy = ctx.wind.wind_at(x, y) if wind is None else wind
+    return (v * math.cos(chi) + wx,
+            v * math.sin(chi) + wy,
+            -ctx.drag(m, v) / m + throttle * (ctx.T_max / m),
+            throttle * (-ctx.fuel_coeff(v) * ctx.T_max))
 
 
 def zermelo_rhs(chi: float,
@@ -153,10 +100,3 @@ def zermelo_rhs(chi: float,
     s, c = math.sin(chi), math.cos(chi)
     return (s * s * dwy_dx + s * c * (dwx_dx - dwy_dy) - c * c * dwx_dy)
 
-
-def zermelo_rhs_tan_form(chi: float,
-                         grads: tuple[float, float, float, float]) -> float:
-    """Literal tan-based form of the navigation law; test oracle only."""
-    dwx_dx, dwx_dy, dwy_dx, dwy_dy = grads
-    t = math.tan(chi)
-    return (-dwx_dy + (dwx_dx - dwy_dy) * t + dwy_dx * t * t) / (1.0 + t * t)

@@ -16,6 +16,10 @@ import numpy as np
 # Penalty returned for rollouts that fail outright; a slope toward surviving
 # trajectories is added by the callers where they can measure one.
 FAILURE_PENALTY = 1.0e9
+# The penalty grows by this factor, up to this cap, after an outer iteration
+# that cut the infeasibility by less than a factor four.
+_RHO_GROWTH = 10.0
+_RHO_MAX = 1e12
 
 
 @dataclass
@@ -31,24 +35,40 @@ class ALResult:
     history: list = field(default_factory=list)
 
 
+class PenalizedModel:
+    """The penalized scalar model J + nu . c + (rho / 2) |c|^2 at fixed
+    multipliers `nu` and penalty `rho`, which an inner minimizer may read."""
+
+    def __init__(self, evaluate, nu: np.ndarray, rho: float):
+        self.evaluate = evaluate
+        self.nu = nu
+        self.rho = rho
+
+    def __call__(self, z) -> float:
+        out = self.evaluate(z)
+        if out is None:
+            return FAILURE_PENALTY
+        j, c = out
+        return j + self.nu @ c + 0.5 * self.rho * (c @ c)
+
+
 def solve_augmented_lagrangian(
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray] | None],
     z0: np.ndarray,
     n_constraints: int,
-    inner: Callable[[Callable[[np.ndarray], float], np.ndarray], tuple[np.ndarray, int]],
+    inner: Callable[[PenalizedModel, np.ndarray], tuple[np.ndarray, int]],
     *,
     feas_tol: float = 1e-6,
     max_outer: int = 8,
     rho0: float = 1e4,
-    rho_growth: float = 10.0,
-    rho_max: float = 1e12,
     nu0: np.ndarray | None = None,
 ) -> ALResult:
     """Minimize J(z) subject to c(z) = 0 by multiplier iterations.
 
     `evaluate(z)` returns (J, c) or None when the rollout failed;
     `inner(model, z)` minimizes the penalized scalar model from z and
-    returns (z_new, function_evaluations).
+    returns (z_new, function_evaluations); the model carries the current
+    `nu` and `rho` for inner minimizers that assemble their own system.
     """
     nu = np.zeros(n_constraints) if nu0 is None else np.array(nu0, dtype=float)
     rho = float(rho0)
@@ -59,14 +79,7 @@ def solve_augmented_lagrangian(
     best = None
 
     for outer in range(max_outer):
-        def model(zz, _nu=nu.copy(), _rho=rho):
-            out = evaluate(zz)
-            if out is None:
-                return FAILURE_PENALTY
-            j, c = out
-            return j + _nu @ c + 0.5 * _rho * (c @ c)
-
-        z, fev = inner(model, z)
+        z, fev = inner(PenalizedModel(evaluate, nu, rho), z)
         n_fev += fev
         out = evaluate(z)
         if out is None:
@@ -83,7 +96,7 @@ def solve_augmented_lagrangian(
         if feas <= feas_tol:
             return ALResult(z, j, c, nu, rho, True, outer + 1, n_fev, history)
         if feas > 0.25 * prev_feas:
-            rho = min(rho * rho_growth, rho_max)
+            rho = min(rho * _RHO_GROWTH, _RHO_MAX)
         prev_feas = feas
 
     feas, zb, jb, cb = best

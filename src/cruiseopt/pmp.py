@@ -31,14 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dynamics import (
-    CruiseContext,
-    eval_P,
-    eval_Q,
-    jacobian_P,
-    jacobian_Q,
-    zermelo_rhs,
-)
+from .dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from .errors import DegenerateArcError, IllConditionedSystemError, SingularDenominatorError
 
 # Nondimensionalization used to condition the co-state algebra:
@@ -70,18 +63,24 @@ def hamiltonian(ctx: CruiseContext, x: float, y: float, v: float, m: float,
     return sum(lam[i] * (q[i] + throttle * p[i]) for i in range(4))
 
 
-def costate_rhs(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-                chi: float, throttle: float, lam):
-    """d lambda / dt = -(dQ/dX + pi dP/dX)^T lambda."""
-    jq = jacobian_Q(ctx, x, y, v, m, chi)
-    jp = jacobian_P(ctx, v, m)
-    out = []
-    for j in range(4):
-        acc = 0.0
-        for i in range(4):
-            acc += lam[i] * (jq[i][j] + throttle * jp[i][j])
-        out.append(-acc)
-    return tuple(out)
+def costate_rhs(ctx: CruiseContext, v: float, m: float, chi: float, grads,
+                throttle: float, lam):
+    """d lambda / dt = -(dQ/dX + pi dP/dX)^T lambda; `grads` are the wind
+    gradients at the position.
+
+    Written out from the sparse Jacobians: the position rows carry the wind
+    gradients, the speed row the heading and the drag slope, and the mass
+    row the drag's mass terms and the thrust-to-mass ratio.
+    """
+    wxx, wxy, wyx, wyy = grads
+    lx, ly, lv, lm = lam
+    d_v, d_m = ctx.drag_partials(m, v)
+    return (-(lx * wxx + ly * wyx),
+            -(lx * wxy + ly * wyy),
+            -(lx * math.cos(chi) + ly * math.sin(chi) + lv * (-d_v / m)
+              + lm * (throttle * (-ctx.cs_slope * ctx.T_max))),
+            -(lv * ((-d_m / m + ctx.drag(m, v) / (m * m))
+                    + throttle * (-ctx.T_max / (m * m)))))
 
 
 def switching_function(ctx: CruiseContext, v: float, m: float, lam) -> float:
@@ -157,10 +156,9 @@ def lie_B_D(ctx: CruiseContext, x: float, y: float, v: float, m: float,
                      ctx.wind.wind_gradients(x, y))
 
 
-def _system(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-            chi: float):
-    """The singular-arc system at one state, resolved along and across the
-    heading.
+def _system(ctx: CruiseContext, wind, v: float, m: float, chi: float):
+    """The singular-arc system at one state with wind `wind` = (w_x, w_y),
+    resolved along and across the heading.
 
     Returns (c, s, vg, wn, polar, k, delta, rows, norms, det): the
     heading's cosine and sine, the ground speed along the heading and the
@@ -171,7 +169,7 @@ def _system(ctx: CruiseContext, x: float, y: float, v: float, m: float,
     planar parts of P, A and Q are (0, 0), (-T/m, 0) and (V_g, W_n), so
     det M = -(T/m)^2 delta; the heading row's scaled norm is 1 / s_x.
     """
-    wx, wy = ctx.wind.wind_at(x, y)
+    wx, wy = wind
     c, s = math.cos(chi), math.sin(chi)
     vg = v + wx * c + wy * s
     wn = wy * c - wx * s
@@ -197,7 +195,7 @@ def scaled_det(ctx: CruiseContext, x: float, y: float, v: float, m: float,
     """Determinant of the equilibrated system matrix (bounded by 1): rows P,
     A, Q with the mass slot zeroed and (sin chi, -cos chi, 0, 0), scaled
     column-wise by STATE_SCALES and then to unit row 2-norm."""
-    return _system(ctx, x, y, v, m, chi)[9]
+    return _system(ctx, ctx.wind.wind_at(x, y), v, m, chi)[9]
 
 
 def _unit_costate(m: float, sysm, eps_det: float):
@@ -222,7 +220,7 @@ def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
     determinant.  The physical co-state for weight alpha is alpha times
     this vector.
     """
-    sysm = _system(ctx, x, y, v, m, chi)
+    sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, chi)
     return _unit_costate(m, sysm, eps_det), sysm[9]
 
 
@@ -232,7 +230,8 @@ def solve_costates_on_singular(ctx: CruiseContext, x: float, y: float,
     """Co-state on the singular arc for cost weight alpha > 0."""
     if alpha <= 0.0:
         raise ValueError("algebraic co-state solve requires alpha > 0")
-    lx, ly, lv, lm = _unit_costate(m, _system(ctx, x, y, v, m, chi), eps_det)
+    lx, ly, lv, lm = _unit_costate(
+        m, _system(ctx, ctx.wind.wind_at(x, y), v, m, chi), eps_det)
     return Costate(alpha * lx, alpha * ly, alpha * lv, alpha * lm)
 
 
@@ -245,35 +244,32 @@ class FeedbackEval(NamedTuple):
     lc: float                # -<lambda, D>, the second-order condition value
 
 
-def singular_throttle(ctx: CruiseContext, x: float, y: float, v: float,
-                      m: float, chi: float, grads, alpha: float,
-                      eps_det: float = EPS_DET,
-                      eps_den: float = EPS_DEN) -> FeedbackEval:
+def singular_throttle(ctx: CruiseContext, v: float, m: float, chi: float,
+                      wind, grads, alpha: float) -> FeedbackEval:
     """Feedback throttle on the singular arc from the vanishing of the
-    second derivative of the switching function; `grads` are the wind
-    gradients at (x, y).
+    second derivative of the switching function; `wind` and `grads` are the
+    wind and its gradients at the position.
 
     The heading-rate term chidot <lambda, dA/dchi> of that derivative is
     identically zero: (lam_x, lam_y) lies along the heading and dA/dchi
     across it.
     """
-    sysm = _system(ctx, x, y, v, m, chi)
-    lx, ly, lv, lm = _unit_costate(m, sysm, eps_det)
+    sysm = _system(ctx, wind, v, m, chi)
+    lx, ly, lv, lm = _unit_costate(m, sysm, EPS_DET)
     b, d = _brackets(ctx, m, sysm[0], sysm[1], sysm[4], grads)
     num = lx * b[0] + ly * b[1] + lv * b[2] + lm * b[3]
     den = lx * d[0] + ly * d[1] + lv * d[2] + lm * d[3]
-    if abs(den) <= eps_den:
+    if abs(den) <= EPS_DEN:
         raise SingularDenominatorError(
-            f"<lambda, D> = {den:.3e} below threshold {eps_den:.1e}"
+            f"<lambda, D> = {den:.3e} below threshold {EPS_DEN:.1e}"
         )
     return FeedbackEval(-num / den,
                         (alpha * lx, alpha * ly, alpha * lv, alpha * lm),
                         sysm[9], -alpha * den)
 
 
-def singular_throttle_alpha0(ctx: CruiseContext, x: float, y: float, v: float,
-                             m: float, chi: float, grads,
-                             eps_den: float = EPS_DEN) -> FeedbackEval:
+def singular_throttle_alpha0(ctx: CruiseContext, v: float, m: float,
+                             chi: float, wind, grads) -> FeedbackEval:
     """Zero-time-weight singular throttle from determinant transport.
 
     With zero cost weight the algebraic co-state solve degenerates and the
@@ -282,13 +278,13 @@ def singular_throttle_alpha0(ctx: CruiseContext, x: float, y: float, v: float,
     derivative along the field F.  The derivative along Q includes the
     heading-rate term (which vanishes for constant wind).  Both come from
     det = g / N, g = -(T/m)^2 delta / (s_x s_v s_m), N the product of the
-    three row norms, by the quotient rule.  `grads` are the wind gradients
-    at (x, y).
+    three row norms, by the quotient rule.  `wind` and `grads` are the wind
+    and its gradients at the position.
     """
     chidot = zermelo_rhs(chi, grads)
     tmax, cs_v = ctx.T_max, ctx.cs_slope
     (c, s, vg, wn, pol, k, delta, rows, (np2, na2, nq2),
-     det) = _system(ctx, x, y, v, m, chi)
+     det) = _system(ctx, wind, v, m, chi)
     cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = pol
     p0, p1, r0, r1, r2, q0, q1, q2 = rows
     tm = tmax / m
@@ -319,23 +315,27 @@ def singular_throttle_alpha0(ctx: CruiseContext, x: float, y: float, v: float,
     num = rate(-drag / m, 0.0, wxx * qx + wxy * qy, wyx * qx + wyy * qy,
                chidot)
     den = rate(tm, -cs * tmax, 0.0, 0.0, 0.0)
-    if abs(den) <= eps_den:
+    if abs(den) <= EPS_DEN:
         raise DegenerateArcError(
-            f"determinant-gradient denominator {den:.3e} below {eps_den:.1e}"
+            f"determinant-gradient denominator {den:.3e} below {EPS_DEN:.1e}"
         )
     return FeedbackEval(-num / den, None, det, math.nan)
 
 
 def evaluate_feedback(ctx: CruiseContext, x: float, y: float, v: float,
-                      m: float, chi: float, alpha: float,
-                      eps_det: float = EPS_DET,
-                      eps_den: float = EPS_DEN) -> FeedbackEval:
-    """Singular throttle at a point, dispatching on the cost weight."""
-    grads = ctx.wind.wind_gradients(x, y)
+                      m: float, chi: float, alpha: float, wind=None,
+                      grads=None) -> FeedbackEval:
+    """Singular throttle at a point, dispatching on the cost weight.
+
+    `wind` and `grads`, the wind and its gradients at (x, y), are looked up
+    unless the caller has them already.
+    """
+    if wind is None:
+        wind = ctx.wind.wind_at(x, y)
+        grads = ctx.wind.wind_gradients(x, y)
     if alpha == 0.0:
-        return singular_throttle_alpha0(ctx, x, y, v, m, chi, grads, eps_den)
-    return singular_throttle(ctx, x, y, v, m, chi, grads, alpha, eps_det,
-                             eps_den)
+        return singular_throttle_alpha0(ctx, v, m, chi, wind, grads)
+    return singular_throttle(ctx, v, m, chi, wind, grads, alpha)
 
 
 def legendre_clebsch(ctx: CruiseContext, x: float, y: float, v: float,

@@ -21,9 +21,9 @@ from .errors import CruiseOptError, DegenerateGeometryError, IntegrationError
 from .integrate import (
     ArcSchedule,
     Trajectory,
+    diagnose,
     integrate_arcs,
     reconstruct_costates,
-    refine_singular_throttle,
 )
 from .nlp import FAILURE_PENALTY, solve_augmented_lagrangian
 from .pmp import STATE_SCALES, TIME_SCALE
@@ -32,6 +32,9 @@ from .wind import ConstantWind
 
 _POS = STATE_SCALES[0]
 _SPD = STATE_SCALES[2]
+_FEAS_TOL = 1e-6          # on scaled terminal residuals
+_SCREEN_FEAS_TOL = 1e-3
+_RHO0 = 1e4
 
 
 @dataclass(frozen=True)
@@ -41,15 +44,12 @@ class SolverOptions:
     seed: int = 0
     nlp_steps: int = 120       # RK4 steps per arc inside the NLP
     steps: int = 400           # RK4 steps per arc for the returned trajectory
-    feas_tol: float = 1e-6     # on scaled terminal residuals
-    screen_feas_tol: float = 1e-3
     max_outer: int = 6
     screen_outer: int = 2
     polish_outer: int = 3
     nm_maxfev: int = 260
     screen_maxfev: int = 140
     polish_maxfev: int = 420
-    rho0: float = 1e4
 
 
 @dataclass
@@ -410,7 +410,7 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
                                       final_throttle=warm_start.final_throttle)
         endgame = _TerminalPolish(rollout_hi, alpha)
         z_ws, feas_ok, opt_ok = endgame.run(
-            z_warm, feas_tol=0.01 * options.feas_tol, max_iter=20)
+            z_warm, feas_tol=0.01 * _FEAS_TOL, max_iter=20)
         if feas_ok and opt_ok:
             sched = rollout_hi.decode(z_ws)
             sol = realize_solution(scn, sched, alpha=alpha,
@@ -433,24 +433,24 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
         res = solve_augmented_lagrangian(
             rollout_nlp, z0, 3,
             _nm_inner(options.screen_maxfev, step_screen),
-            feas_tol=options.screen_feas_tol,
+            feas_tol=_SCREEN_FEAS_TOL,
             max_outer=options.screen_outer,
-            rho0=options.rho0,
+            rho0=_RHO0,
         )
         total_fev += res.n_fev
         total_outer += res.n_outer
         screened.append((idx, res))
 
-    screened.sort(key=lambda t: (float(np.max(np.abs(t[1].resid))) > 10 * options.screen_feas_tol,
+    screened.sort(key=lambda t: (float(np.max(np.abs(t[1].resid))) > 10 * _SCREEN_FEAS_TOL,
                                  t[1].cost, t[0]))
     refined = []
     for idx, sres in screened[: max(1, options.n_refine)]:
         res = solve_augmented_lagrangian(
             rollout_nlp, sres.z, 3,
             _nm_inner(options.nm_maxfev, step_refine),
-            feas_tol=options.feas_tol,
+            feas_tol=_FEAS_TOL,
             max_outer=options.max_outer,
-            rho0=max(options.rho0, sres.rho),
+            rho0=max(_RHO0, sres.rho),
             nu0=sres.nu,
         )
         total_fev += res.n_fev
@@ -467,9 +467,9 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     polish = solve_augmented_lagrangian(
         rollout_hi, best.z, 3,
         _nm_inner(options.polish_maxfev, step_polish),
-        feas_tol=options.feas_tol,
+        feas_tol=_FEAS_TOL,
         max_outer=options.polish_outer,
-        rho0=max(options.rho0, best.rho),
+        rho0=max(_RHO0, best.rho),
         nu0=best.nu,
     )
     total_fev += polish.n_fev
@@ -477,13 +477,13 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
 
     endgame = _TerminalPolish(rollout_hi, alpha)
     z_final, restored, opt_ok = endgame.run(
-        polish.z, feas_tol=0.01 * options.feas_tol)
+        polish.z, feas_tol=0.01 * _FEAS_TOL)
     sched = rollout_hi.decode(z_final)
     sol = realize_solution(scn, sched, alpha=alpha, steps=options.steps)
     feas = float(np.max(np.abs(sol.residuals / np.array(
         [STATE_SCALES[0], STATE_SCALES[1], STATE_SCALES[2]]))))
     sol.converged = (bool(polish.converged or restored) and bool(opt_ok)
-                     and feas <= options.feas_tol)
+                     and feas <= _FEAS_TOL)
     sol.n_fev = total_fev
     sol.n_outer = total_outer
     sol.start_index = best_idx
@@ -493,7 +493,9 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
 
 def realize_solution(scn: Scenario, sched: ArcSchedule,
                      alpha: float | None = None, steps: int = 400) -> Solution:
-    """Integrate a switching schedule into a full diagnosed Solution.
+    """Integrate a switching schedule into a full diagnosed Solution: the
+    rollout, the co-states where a singular arc and a positive weight allow
+    them, then the one diagnostics pass.
 
     Used both as the tail of the solver and to rebuild a solution from its
     serialized schedule for after-the-fact verification.
@@ -506,8 +508,7 @@ def realize_solution(scn: Scenario, sched: ArcSchedule,
     if alpha > 0.0 and sched.t1 < sched.t2:
         traj = reconstruct_costates(ctx, traj, sched, alpha, scn.pi_min,
                                     scn.pi_max)
-    else:
-        refine_singular_throttle(ctx, traj, alpha, scn.pi_min, scn.pi_max)
+    diagnose(ctx, traj, alpha, scn.pi_min, scn.pi_max)
     resid_phys = np.array([
         traj.final_state[0] - scn.xf,
         traj.final_state[1] - scn.yf,

@@ -92,10 +92,3 @@ class PolynomialWind:
 
 WindField = ConstantWind | PolynomialWind
 
-
-def wind_at(field: WindField, x: float, y: float) -> tuple[float, float]:
-    return field.wind_at(x, y)
-
-
-def wind_gradients(field: WindField, x: float, y: float):
-    return field.wind_gradients(x, y)

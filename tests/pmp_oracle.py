@@ -2,17 +2,33 @@
 
 Builds the 4x4 co-state system matrix row by row from the dynamics and
 solves, scales and differentiates it with NumPy and central differences,
-the way the library did before its algebra was written out by hand.  Only
-the tests use it.
+the way the library did before its algebra was written out by hand; the
+co-state equation comes from the dense Jacobians the same way.  Only the
+tests use it.
 """
 
 import numpy as np
 
-from cruiseopt.dynamics import (eval_P, eval_Q, jacobian_P, jacobian_Q,
-                                zermelo_rhs)
+from cruiseopt.dynamics import eval_P, eval_Q, zermelo_rhs
 from cruiseopt.pmp import STATE_SCALES, Costate, lie_A
 
+from model_oracle import jacobian_P, jacobian_Q
+
 SCALES = np.array(STATE_SCALES)
+
+
+def costate_rhs(ctx, x, y, v, m, chi, throttle, lam):
+    """d lambda / dt = -(dQ/dX + pi dP/dX)^T lambda from the dense
+    Jacobians."""
+    jq = jacobian_Q(ctx, x, y, v, m, chi)
+    jp = jacobian_P(ctx, v, m)
+    out = []
+    for j in range(4):
+        acc = 0.0
+        for i in range(4):
+            acc += lam[i] * (jq[i][j] + throttle * jp[i][j])
+        out.append(-acc)
+    return tuple(out)
 
 
 def build_M(ctx, x, y, v, m, chi):

@@ -12,14 +12,16 @@ import math
 import numpy as np
 
 from cruiseopt.cli import emit_trajectory_csv
-from cruiseopt.dynamics import eval_P, eval_Q, jacobian_P, jacobian_Q
-from cruiseopt.integrate import _SingularRhs
+from cruiseopt.dynamics import eval_P, eval_Q
+from cruiseopt.integrate import _Rhs
 from cruiseopt.pmp import (STATE_SCALES, costate_rhs, hamiltonian, lie_A,
                            solve_costates_on_singular)
 from cruiseopt.scenario import make_context
 from cruiseopt.solver import chi0_constant_wind, solve_indirect
 
+import pmp_oracle
 from conftest import fast_options
+from model_oracle import jacobian_P, jacobian_Q
 
 
 def report(capsys, num, ok, detail):
@@ -153,7 +155,9 @@ def test_criterion_07_derivative_oracles(capsys, scenario, context):
         lam = (rng.uniform(-1, 1) * 1e-6, rng.uniform(-1, 1) * 1e-6,
                rng.uniform(-1, 1) * 1e-2, rng.uniform(-1, 1))
         pi = rng.uniform(0.0, 1.0)
-        rhs = np.array(costate_rhs(context, x, y, v, m, chi, pi, lam))
+        rhs = np.array(costate_rhs(context, v, m, chi,
+                                   context.wind.wind_gradients(x, y), pi,
+                                   lam))
         fd = -_fd_jac(
             lambda *s: (hamiltonian(context, *s, chi, pi, lam),),
             (x, y, v, m), STATE_SCALES)[0]
@@ -209,9 +213,9 @@ def test_criterion_09_singular_feedback_self_consistency(capsys, sol_04):
 
     # joint state/co-state ODE across singular windows vs the algebraic solve
     def rhs(s):
-        sing = _SingularRhs(ctx, alpha, scn.pi_min, scn.pi_max)
+        sing = _Rhs(ctx, math.nan, alpha, scn.pi_min, scn.pi_max)
         base = sing(s[:5])
-        lrhs = costate_rhs(ctx, *s[:5], sing.last_throttle, s[5:])
+        lrhs = pmp_oracle.costate_rhs(ctx, *s[:5], sing.throttle, s[5:])
         return np.array(base + lrhs)
 
     def rk4(s, t0, t1, n):

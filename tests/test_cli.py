@@ -7,8 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
+from cruiseopt import cli, solver
 from cruiseopt.cli import (build_parser, emit_direct_csv, emit_trajectory_csv,
                            main, write_solution_dir)
+from cruiseopt.integrate import ArcSchedule
 from cruiseopt.scenario import (default_aircraft_path, default_scenario_path,
                                 load_scenario, save_scenario)
 
@@ -96,6 +98,27 @@ class TestSolutionDirectory:
             doc = json.load(fh)
         assert doc["schedule"]["final_throttle"] == sol_01.scenario.pi_max
         assert main(["verify", "--solution", str(outdir)]) == 0
+
+
+def test_sweep_command_warm_starts_every_weight_after_the_first(
+        monkeypatch, tmp_path):
+    """The sweep command runs the continuation: the largest weight is solved
+    cold and every other weight warm-starts from a neighbor's schedule."""
+    sched = ArcSchedule(t1=46.37, t2=6102.6, tf=6157.2, chi0=0.6937)
+    calls = []
+
+    def fake_solve(scn, options=None, alpha=None, warm_start=None):
+        calls.append((scn.alpha, warm_start))
+        return solver.realize_solution(scn, sched, steps=10)
+
+    monkeypatch.setattr(cli, "solve_indirect", fake_solve)
+    monkeypatch.setattr(solver, "solve_indirect", fake_solve)
+    main(["sweep-alpha", "--alphas", "0.3,0.5,0.4", "--out", str(tmp_path)])
+    assert [a for a, _ in calls] == [0.5, 0.4, 0.3]
+    assert calls[0][1] is None
+    assert all(warm is not None for _, warm in calls[1:])
+    for a in ("0.3", "0.5", "0.4"):
+        assert (tmp_path / f"alpha_{a}" / "solution.json").exists()
 
 
 class TestArgumentHandling:

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cruiseopt.atmosphere import Atmosphere, drag, drag_partials
-from cruiseopt.dynamics import (dQ_dchi, eval_F, eval_P, eval_Q, jacobian_P,
-                                jacobian_Q, zermelo_rhs, zermelo_rhs_tan_form)
+from cruiseopt.atmosphere import Atmosphere
+from cruiseopt.dynamics import eval_F, eval_P, eval_Q, zermelo_rhs
 from cruiseopt.pmp import STATE_SCALES
 from cruiseopt.scenario import default_scenario_path, load_scenario, make_context
+
+from model_oracle import (dQ_dchi, drag, drag_partials, jacobian_P, jacobian_Q,
+                          zermelo_rhs_tan_form)
 
 SCN = load_scenario(default_scenario_path())
 CTX = make_context(SCN)

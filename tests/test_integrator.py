@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cruiseopt.atmosphere import check_envelope
 from cruiseopt.errors import IntegrationError, ValidationError
-from cruiseopt.integrate import (ArcSchedule, Trajectory, integrate_arcs,
-                                 reconstruct_costates)
+from cruiseopt.integrate import (ArcSchedule, Trajectory, _Rhs, diagnose,
+                                 integrate_arcs, reconstruct_costates)
 from cruiseopt.pmp import solve_costates_on_singular
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
@@ -117,6 +118,65 @@ def test_stalled_rollout_reports_time_and_state():
     assert 0.0 < exc.value.t <= 30000.0
     assert exc.value.last_state is not None
     assert all(math.isfinite(s) for s in exc.value.last_state)
+
+
+class CountingWind:
+    """Wraps a wind field and counts its lookups."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = {"wind_at": 0, "wind_gradients": 0}
+
+    def wind_at(self, x, y):
+        self.calls["wind_at"] += 1
+        return self.field.wind_at(x, y)
+
+    def wind_gradients(self, x, y):
+        self.calls["wind_gradients"] += 1
+        return self.field.wind_gradients(x, y)
+
+
+def test_each_rhs_stage_looks_the_wind_up_once():
+    ctx = make_context(SCN)
+    wind = CountingWind(SCN.wind)
+    ctx.wind = wind
+    state = (5e5, 2.5e5, 228.0, 53000.0, 0.65)
+    lam = (-1e-6, -7e-7, -3e-2, -0.6)
+    for rhs, s in ((_Rhs(ctx, SCN.pi_max), state),
+                   (_Rhs(ctx, math.nan, 0.4, SCN.pi_min, SCN.pi_max), state),
+                   (_Rhs(ctx, math.nan, 0.0, SCN.pi_min, SCN.pi_max), state),
+                   (_Rhs(ctx, SCN.pi_min), state + lam)):
+        wind.calls = {"wind_at": 0, "wind_gradients": 0}
+        rhs(s)
+        assert wind.calls == {"wind_at": 1, "wind_gradients": 1}
+
+    # 3 arcs of 20 RK4 steps of 4 stages each
+    sched = ArcSchedule(t1=46.37, t2=6102.6, tf=6157.2, chi0=0.6937)
+    wind.calls = {"wind_at": 0, "wind_gradients": 0}
+    traj = integrate_arcs(ctx, sched, X0, 0.4, SCN.pi_min, SCN.pi_max,
+                          steps_per_arc=20)
+    assert wind.calls == {"wind_at": 240, "wind_gradients": 240}
+    # joint sweeps over both bang arcs, plus one algebraic co-state solve
+    # per singular sample and at the t1 junction
+    wind.calls = {"wind_at": 0, "wind_gradients": 0}
+    reconstruct_costates(ctx, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
+    assert wind.calls == {"wind_at": 160 + 21, "wind_gradients": 160}
+
+
+def test_rollout_leaves_diagnostics_to_the_diagnostics_pass():
+    sched = ArcSchedule(t1=46.37, t2=6102.6, tf=6157.2, chi0=0.6937)
+    traj = integrate_arcs(CTX, sched, X0, 0.0, SCN.pi_min, SCN.pi_max,
+                          steps_per_arc=20)
+    assert not np.any(traj.envelope_ok)
+    assert np.all(np.isnan(traj.mach)) and np.all(np.isnan(traj.detM))
+    diagnose(CTX, traj, 0.0, SCN.pi_min, SCN.pi_max)
+    for i in range(len(traj.t)):
+        rep = check_envelope(SCN.aircraft, CTX.atm, traj.states[i, 2], SCN.h)
+        assert traj.envelope_ok[i] == rep.ok
+        assert traj.mach[i] == rep.mach
+    # no co-states at zero weight: determinant only
+    assert np.all(np.isfinite(traj.detM))
+    assert np.all(np.isnan(traj.S)) and np.all(np.isnan(traj.H))
 
 
 class TestCostateReconstruction:

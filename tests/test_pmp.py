@@ -82,7 +82,8 @@ def test_costate_rhs_is_minus_hamiltonian_gradient():
         lam = (rng.uniform(-1, 1) * 1e-6, rng.uniform(-1, 1) * 1e-6,
                rng.uniform(-1, 1) * 1e-2, rng.uniform(-1, 1))
         pi = rng.uniform(0.0, 1.0)
-        ana = np.array(costate_rhs(CTX, x, y, v, m, chi, pi, lam))
+        ana = np.array(costate_rhs(CTX, v, m, chi,
+                                   CTX.wind.wind_gradients(x, y), pi, lam))
         xs = (x, y, v, m)
         fd = np.empty(4)
         for i in range(4):
@@ -144,9 +145,10 @@ def test_adjugate_oracle_matches_closed_form_solve():
 def test_singular_feedback_throttle_is_weight_invariant():
     # the feedback ratio is homogeneous of degree zero in the co-state
     x, y, v, m, chi = 5e5, 2.5e5, 228.0, 53000.0, 0.65
+    wind = CTX.wind.wind_at(x, y)
     grads = CTX.wind.wind_gradients(x, y)
-    fb1 = singular_throttle(CTX, x, y, v, m, chi, grads, 0.1)
-    fb2 = singular_throttle(CTX, x, y, v, m, chi, grads, 0.9)
+    fb1 = singular_throttle(CTX, v, m, chi, wind, grads, 0.1)
+    fb2 = singular_throttle(CTX, v, m, chi, wind, grads, 0.9)
     assert fb1.throttle == pytest.approx(fb2.throttle, rel=1e-12)
     assert fb1.lc / 0.1 == pytest.approx(fb2.lc / 0.9, rel=1e-12)
 
@@ -229,6 +231,20 @@ def test_closed_forms_match_matrix_oracle(state):
     assert fb.throttle == pytest.approx(throttle, rel=1e-9, abs=1e-9)
     # the oracle's brackets carry central-difference error of about 1e-10
     assert fb.lc == pytest.approx(lc, rel=1e-8)
+
+
+@given(STATES,
+       st.tuples(st.floats(-1e-5, 1e-5), st.floats(-1e-5, 1e-5),
+                 st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+       st.sampled_from([SCN.pi_min, SCN.pi_max]))
+@settings(max_examples=300, deadline=None)
+def test_costate_rhs_matches_dense_jacobian_oracle(state, lam, pi):
+    """The written-out co-state equation against -(dQ/dX + pi dP/dX)^T lam
+    with both Jacobians built densely."""
+    x, y, v, m, chi = state
+    ana = costate_rhs(CTX, v, m, chi, CTX.wind.wind_gradients(x, y), pi, lam)
+    ref = pmp_oracle.costate_rhs(CTX, x, y, v, m, chi, pi, lam)
+    assert ana == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @given(STATES)
