@@ -5,8 +5,10 @@ this solver must not assume the navigation law it is meant to validate) and
 the rollout is forward Euler, deliberately simpler than the indirect
 integrator.  The same augmented-Lagrangian outer loop enforces the terminal
 conditions; the inner minimizer is a projected damped Gauss-Newton method
-with batched central-difference gradients (the rollout is cheap enough to
-difference all controls at once as one wide vectorized sweep).
+whose terminal-state Jacobian is exact: the Euler map is differentiated by
+its adjoint (reverse) recursion, Lambda_k = Lambda_{k+1} A_k from
+Lambda_N = I, over the node states of the rollout that was just accepted
+(Bryson & Ho, Applied Optimal Control, ch. 2).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ _V_FLOOR = 5.0  # m/s; keeps the vectorized drag finite on absurd iterates
 # and the line search cannot recover
 _TF_UNIT = 10.0
 _FEAS_TOL = 1e-5   # on the scaled terminal residuals
-_FD_STEP = 1e-5
 _RHO0 = 1e6
 
 
@@ -89,7 +90,9 @@ def euler_rollout(ctx: CruiseContext, x0, chi: np.ndarray, pi: np.ndarray,
     m = np.full(shape, float(x0[3]))
     h = np.asarray(tf, dtype=float) / n_steps
     tmax = ctx.T_max
-    traj = [np.stack([x, y, v, m])] if full_output else None
+    if full_output:
+        traj = np.empty((n_steps + 1, 4) + shape)
+        traj[0] = np.stack([x, y, v, m])
     for k in range(n_steps):
         ck, pk = chi[k], pi[k]
         wx, wy = ctx.wind.wind_at(x, y)
@@ -101,11 +104,22 @@ def euler_rollout(ctx: CruiseContext, x0, chi: np.ndarray, pi: np.ndarray,
         v = v + h * (pk * tmax - d) / m
         m = m + h * (-pk * cs * tmax)
         if full_output:
-            traj.append(np.stack([x, y, v, m]))
-    final = np.stack([x, y, v, m])
+            row = traj[k + 1]
+            row[0], row[1], row[2], row[3] = x, y, v, m
     if full_output:
-        return final, np.array(traj)
-    return final
+        return traj[-1].copy(), traj
+    return np.stack([x, y, v, m])
+
+
+def _suffix_products(a: np.ndarray) -> np.ndarray:
+    """p[k] = a[-1] @ a[-2] @ ... @ a[k] for a (n, d, d) stack, by a
+    log-depth (Hillis-Steele) scan over the reversed stack."""
+    p = a[::-1].copy()
+    d = 1
+    while d < len(p):
+        p[d:] = p[:-d] @ p[d:]
+        d *= 2
+    return p[::-1]
 
 
 class _DirectRollout:
@@ -122,12 +136,6 @@ class _DirectRollout:
         n = self.N
         return u[:n], u[n:2 * n], u[2 * n] * _TF_UNIT
 
-    def finals(self, u_cols: np.ndarray) -> np.ndarray:
-        """Batched terminal states for a (ndim, B) matrix of iterates."""
-        n = self.N
-        return euler_rollout(self.ctx, self.x0, u_cols[:n], u_cols[n:2 * n],
-                             u_cols[2 * n] * _TF_UNIT, n)
-
     def cost_resid_from_final(self, final, tf):
         j = self.alpha * tf + (self.alpha - 1.0) * final[3]
         c = np.stack([
@@ -137,24 +145,80 @@ class _DirectRollout:
         ])
         return j, c
 
-    def __call__(self, u):
+    def evaluate(self, u):
+        """(J, c, node states (N+1, 4)) at u, or None when tf <= 0."""
         chi, pi, tf = self.split(u)
         if tf <= 0.0:
             return None
-        final = euler_rollout(self.ctx, self.x0, chi, pi, tf, self.N)
-        return self.cost_resid_from_final(final, tf)
+        final, states = euler_rollout(self.ctx, self.x0, chi, pi, tf, self.N,
+                                      full_output=True)
+        return (*self.cost_resid_from_final(final, tf), states)
+
+    def __call__(self, u):
+        out = self.evaluate(u)
+        return None if out is None else out[:2]
+
+    def jacobian(self, u, states):
+        """Exact terminal-state Jacobian d(x, y, v, m)_N / du, (4, 2N+1),
+        from the node states of the rollout at u.
+
+        Step k maps s_{k+1} = s_k + h f(s_k, chi_k, pi_k) with h = tf/N; its
+        state Jacobian is A_k = I + h df/ds, so the sensitivity of the final
+        state to s_{k+1} is Lambda_{k+1} = A_{N-1} ... A_{k+1}.  The control
+        columns are Lambda_{k+1} h df/d(chi_k, pi_k); the tf column sums
+        Lambda_{k+1} f_k dh/du_tf.
+        """
+        ctx, n = self.ctx, self.N
+        chi, pi, tf = self.split(u)
+        h = tf / n
+        x, y, v, m = states[:-1].T
+        tmax = ctx.T_max
+        wx, wy = ctx.wind.wind_at(x, y)
+        gxx, gxy, gyx, gyy = ctx.wind.wind_gradients(x, y)
+        # the rollout floors v inside drag and fuel flow; there they are flat
+        live = v > _V_FLOOR
+        vs = np.maximum(v, _V_FLOOR)
+        d_v, d_m = ctx.drag_partials(m, vs)
+        d_v = np.where(live, d_v, 0.0)
+        cs = ctx.fuel_coeff(vs)
+        cs_v = np.where(live, ctx.cs_slope, 0.0)
+        cos, sin = np.cos(chi), np.sin(chi)
+        vdot = (pi * tmax - ctx.drag(m, vs)) / m
+
+        a = np.zeros((n, 4, 4))
+        a[:, 0, 0] = 1.0 + h * gxx
+        a[:, 0, 1] = h * gxy
+        a[:, 0, 2] = h * cos
+        a[:, 1, 0] = h * gyx
+        a[:, 1, 1] = 1.0 + h * gyy
+        a[:, 1, 2] = h * sin
+        a[:, 2, 2] = 1.0 - h * d_v / m
+        a[:, 2, 3] = -h * (d_m + vdot) / m
+        a[:, 3, 2] = -h * pi * tmax * cs_v
+        a[:, 3, 3] = 1.0
+        lam = np.empty((n, 4, 4))
+        lam[:-1] = _suffix_products(a[1:])
+        lam[-1] = np.eye(4)
+
+        f = np.stack([v * cos + wx, v * sin + wy, vdot, -pi * cs * tmax], axis=1)
+        cols = lam.transpose(1, 2, 0)  # cols[:, j, k]: column j of lam[k]
+        jac = np.empty((4, 2 * n + 1))
+        jac[:, :n] = h * v * (cols[:, 1] * cos - cols[:, 0] * sin)
+        jac[:, n:2 * n] = h * tmax * (cols[:, 2] / m - cols[:, 3] * cs)
+        jac[:, 2 * n] = np.einsum("kij,kj->i", lam, f) * (_TF_UNIT / n)
+        return jac
 
 
 class _GaussNewtonInner:
     """Damped Gauss-Newton minimizer of the penalized model.
 
     Cost and constraints depend on the decision variables only through the
-    terminal state and tf, so one batched central-difference sweep yields the
-    full terminal-state Jacobian.  The Levenberg-Marquardt system
-    (mu I + rho Jc' Jc) d = -g then reduces to a 3x3 solve by the
-    push-through identity.  This is far more robust here than a generic
-    quasi-Newton method, whose unit-norm first steps explode whenever a
-    single gradient component dominates.
+    terminal state and tf, so the exact terminal-state Jacobian, one backward
+    sweep over the node states of the accepted rollout, gives the full
+    gradient.  The Levenberg-Marquardt system (mu I + rho Jc' Jc) d = -g then
+    reduces to a 3x3 solve by the push-through identity.  This is far more
+    robust here than a generic quasi-Newton method, whose unit-norm first
+    steps explode whenever a single gradient component dominates.
     """
 
     def __init__(self, rollout: _DirectRollout, lower, upper, maxiter: int):
@@ -163,36 +227,26 @@ class _GaussNewtonInner:
         self.ub = np.asarray(upper, dtype=float)
         self.maxiter = maxiter
 
-    def _sweep(self, z):
-        """Terminal-state Jacobian (4, ndim) by batched central differences."""
-        ndim = len(z)
-        cols = np.repeat(z[:, None], 2 * ndim, axis=1)
-        idx = np.arange(ndim)
-        cols[idx, 2 * idx] += _FD_STEP
-        cols[idx, 2 * idx + 1] -= _FD_STEP
-        finals = self.rollout.finals(cols)
-        return (finals[:, 0::2] - finals[:, 1::2]) / (2.0 * _FD_STEP)
-
     def __call__(self, model, z0):
         """Minimize the penalized `model` from z0 with the multipliers
         `model.nu` and penalty `model.rho`; returns (z, evaluations)."""
         nu, rho = model.nu, model.rho
 
         def penalized(z):
-            out = self.rollout(z)
+            out = self.rollout.evaluate(z)
             if out is None:
-                return np.inf, None
-            j, c = out
-            return j + nu @ c + 0.5 * rho * (c @ c), c
+                return np.inf, None, None
+            j, c, states = out
+            return j + nu @ c + 0.5 * rho * (c @ c), c, states
 
         alpha = self.rollout.alpha
         z = np.clip(np.array(z0, dtype=float), self.lb, self.ub)
         nfev = 0
         mu = 1e3
-        m0, c = penalized(z)
+        m0, c, states = penalized(z)
         nfev += 1
         for _ in range(self.maxiter):
-            jac_fin = self._sweep(z)
+            jac_fin = self.rollout.jacobian(z, states)
             nfev += 1
             jc = jac_fin[:3] / np.array([_POS, _POS, _SPD])[:, None]
             g = (alpha - 1.0) * jac_fin[3] + jc.T @ (nu + rho * c)
@@ -206,11 +260,11 @@ class _GaussNewtonInner:
                 zsol = np.linalg.solve(small, rhs)
                 step = -(g - rho * (jc.T @ zsol)) / mu
                 z_try = np.clip(z + step, self.lb, self.ub)
-                m_try, c_try = penalized(z_try)
+                m_try, c_try, states_try = penalized(z_try)
                 nfev += 1
                 if m_try < m0:
                     moved = float(np.max(np.abs(z_try - z)))
-                    z, m0, c = z_try, m_try, c_try
+                    z, m0, c, states = z_try, m_try, c_try, states_try
                     mu = max(mu / 3.0, 1e-2)
                     accepted = True
                     break
@@ -266,9 +320,8 @@ def solve_direct(scn: Scenario, options: DirectOptions | None = None,
                                      max_outer=options.max_outer, rho0=_RHO0)
 
     chi, pi, tf = rollout.split(res.z)
-    final, states = euler_rollout(ctx, rollout.x0, chi, pi, tf, N,
-                                  full_output=True)
-    j, c = rollout.cost_resid_from_final(final, tf)
+    j, _, states = rollout.evaluate(res.z)
+    final = states[-1]
     resid_phys = np.array([
         final[0] - scn.xf, final[1] - scn.yf, final[2] - scn.vf,
     ])

@@ -1,14 +1,25 @@
-"""Direct transcription tests: Euler rollout, batching, the baseline solve."""
+"""Direct transcription tests: Euler rollout, batching, the exact terminal
+Jacobian, the baseline solve."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cruiseopt.direct import (DirectGrid, DirectOptions, chattering_metric,
+import direct_oracle
+from cruiseopt import direct
+from cruiseopt.direct import (_V_FLOOR, DirectGrid, DirectOptions,
+                              _DirectRollout, chattering_metric,
                               euler_rollout, solve_direct)
 from cruiseopt.errors import ValidationError
-from cruiseopt.scenario import default_scenario_path, load_scenario, make_context
+from cruiseopt.scenario import (default_constant_wind_scenario_path,
+                                default_scenario_path, load_scenario,
+                                make_context)
 
 SCN = load_scenario(default_scenario_path())
+SCN_CW = load_scenario(default_constant_wind_scenario_path())
 CTX = make_context(SCN)
 X0 = (SCN.x0, SCN.y0, SCN.v0, SCN.m0)
 
@@ -63,6 +74,85 @@ def test_full_output_shape_and_start():
     assert states.shape == (n + 1, 4)
     assert states[0] == pytest.approx(np.array(X0))
     assert states[-1] == pytest.approx(final)
+    assert np.array_equal(states[-1], final)
+
+
+def _rollout_and_states(scn, chi, pi, tf_units):
+    rollout = _DirectRollout(make_context(scn), scn, 0.4, len(chi))
+    z = np.concatenate([chi, pi, [tf_units]])
+    return rollout, z, rollout.evaluate(z)[2]
+
+
+def _row_gap(rollout, z, states):
+    """Worst |exact - central difference| per terminal-state row, relative
+    to that row's max-abs."""
+    exact = rollout.jacobian(z, states)
+    fd = direct_oracle.sweep(rollout, z)
+    return np.max(np.abs(exact - fd), axis=1) / np.max(np.abs(fd), axis=1)
+
+
+def _nonstiff(rollout, z, states):
+    """True when every Euler step above the speed floor is non-stiff,
+    h |d(D/m)/dv| <= 3.  Approaching the floor, the induced drag, ~ m^2/v^2,
+    stiffens the step until the oracle's 1e-5 central differences err by
+    1e-6 of a row's max or more; smaller steps converge to the exact
+    Jacobian, which needs no such care."""
+    v, m = states[:-1, 2], states[:-1, 3]
+    live = v > _V_FLOOR
+    d_v = rollout.ctx.drag_partials(m[live], v[live])[0]
+    h = rollout.split(z)[2] / rollout.N
+    return bool(np.all(h * np.abs(d_v) / m[live] <= 3.0))
+
+
+def _node_controls(data, n, lo, hi):
+    return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n,
+                                       max_size=n)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_jacobian_matches_central_differences(data):
+    scn = data.draw(st.sampled_from([SCN, SCN_CW]))
+    n = data.draw(st.integers(10, 60))
+    chi = _node_controls(data, n, -math.pi, math.pi)
+    pi = _node_controls(data, n, scn.pi_min, scn.pi_max)
+    rollout, z, states = _rollout_and_states(
+        scn, chi, pi, data.draw(st.floats(20.0, 100.0)))
+    assume(_nonstiff(rollout, z, states))
+    assert np.all(_row_gap(rollout, z, states) <= 1e-6)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_jacobian_below_the_speed_floor(data):
+    # zero throttle over a long flight: drag stalls the aircraft, and the
+    # rollout's floor on v freezes drag and fuel flow, so their v-partials
+    # must vanish at those nodes
+    scn = data.draw(st.sampled_from([SCN, SCN_CW]))
+    n = data.draw(st.integers(10, 60))
+    chi = _node_controls(data, n, -math.pi, math.pi)
+    rollout, z, states = _rollout_and_states(
+        scn, chi, np.zeros(n), data.draw(st.floats(30.0, 100.0)))
+    assert np.any(states[:-1, 2] < _V_FLOOR)
+    assume(_nonstiff(rollout, z, states))
+    assert np.all(_row_gap(rollout, z, states) <= 1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_direct_rolls_out_one_column_at_a_time(monkeypatch):
+    # the Jacobian comes from the accepted rollout's node states, so no
+    # call may carry a batch of perturbed iterates
+    widths = []
+
+    def counting_rollout(ctx, x0, chi, pi, tf, n_steps, full_output=False):
+        widths.append(np.shape(chi)[1:])
+        return euler_rollout(ctx, x0, chi, pi, tf, n_steps, full_output)
+
+    monkeypatch.setattr(direct, "euler_rollout", counting_rollout)
+    solve_direct(SCN, DirectOptions(N=30, max_outer=1, maxiter_inner=5),
+                 alpha=0.4)
+    assert widths
+    assert all(w == () for w in widths)
 
 
 def test_rollout_uses_controls_as_given():
