@@ -3,12 +3,16 @@
 Controls are piecewise-constant per node (heading and throttle both free --
 this solver must not assume the navigation law it is meant to validate) and
 the rollout is forward Euler, deliberately simpler than the indirect
-integrator.  The same augmented-Lagrangian outer loop enforces the terminal
-conditions; the inner minimizer is a projected damped Gauss-Newton method
-whose terminal-state Jacobian is exact: the Euler map is differentiated by
-its adjoint (reverse) recursion, Lambda_k = Lambda_{k+1} A_k from
-Lambda_N = I, over the node states of the rollout that was just accepted
-(Bryson & Ho, Applied Optimal Control, ch. 2).
+integrator.  Each rollout is a plain Python-float loop over the nodes:
+the IEEE operations of stepping NumPy arrays, in the same order and so with
+the same bits, inf and NaN included, but without NumPy's per-call overhead
+on single values or its overflow warnings.  The same augmented-Lagrangian
+outer loop enforces the terminal conditions; the inner minimizer is a
+projected damped Gauss-Newton method whose terminal-state Jacobian is
+exact: the Euler map is differentiated by its adjoint (reverse) recursion,
+Lambda_k = Lambda_{k+1} A_k from Lambda_N = I, over the node states of the
+rollout that was just accepted (Bryson & Ho, Applied Optimal Control,
+ch. 2).
 """
 
 from __future__ import annotations
@@ -78,37 +82,62 @@ def euler_rollout(ctx: CruiseContext, x0, chi: np.ndarray, pi: np.ndarray,
     """Forward-Euler rollout with piecewise-constant node controls.
 
     `chi`/`pi` may be (N,) for a single rollout or (N, B) for a batch; `tf`
-    may be scalar or (B,).  Controls are used as given -- bound satisfaction
-    is the optimizer's projection, not this function's concern.
+    may be scalar or (B,).  Returns the final state, (4,) or (4, B), and
+    with `full_output` also the node states, (N+1, 4) or (N+1, 4, B).
+    Controls are used as given -- bound satisfaction is the optimizer's
+    projection, not this function's concern.
+
+    A batch loops over its columns, each a plain-float loop whose overflow
+    and zero-mass divisions give, silently, the inf and NaN of NumPy.
     """
-    chi = np.asarray(chi, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    chi = np.asarray(chi, dtype=float)[:n_steps]
+    pi = np.asarray(pi, dtype=float)[:n_steps]
     shape = chi.shape[1:]
-    x = np.full(shape, float(x0[0]))
-    y = np.full(shape, float(x0[1]))
-    v = np.full(shape, float(x0[2]))
-    m = np.full(shape, float(x0[3]))
-    h = np.asarray(tf, dtype=float) / n_steps
-    tmax = ctx.T_max
-    if full_output:
-        traj = np.empty((n_steps + 1, 4) + shape)
-        traj[0] = np.stack([x, y, v, m])
-    for k in range(n_steps):
-        ck, pk = chi[k], pi[k]
-        wx, wy = ctx.wind.wind_at(x, y)
-        vs = np.maximum(v, _V_FLOOR)
-        d = ctx.qs_coeff * vs * vs + ctx.ind_coeff * m * m / (vs * vs)
-        cs = ctx.model.C_s1 * (1.0 + vs / ctx.model.C_s2)
-        x = x + h * (v * np.cos(ck) + wx)
-        y = y + h * (v * np.sin(ck) + wy)
+    hs = np.broadcast_to(np.asarray(tf, dtype=float) / n_steps, shape)
+    columns = zip(chi.reshape(n_steps, -1).T.tolist(),
+                  pi.reshape(n_steps, -1).T.tolist(), hs.ravel().tolist())
+    traj = np.stack([np.array(_euler_column(ctx, x0, c, p, h))
+                     for c, p, h in columns], axis=-1)
+    traj = traj.reshape((-1, 4) + shape)
+    final = traj[-1].copy()
+    return (final, traj) if full_output else final
+
+
+def _euler_column(ctx: CruiseContext, x0, chi: list, pi: list,
+                  h: float) -> list:
+    """Node states of one rollout, as N+1 (x, y, v, m) tuples."""
+    rows = [tuple(float(x0[i]) for i in range(4))]
+    try:
+        _euler_steps(ctx, rows[0], chi, pi, h, rows)
+    except ZeroDivisionError:
+        # a zero mass: redo the failed step and the rest on NumPy scalars,
+        # which divide by zero the IEEE way
+        k = len(rows) - 1
+        with np.errstate(all="ignore"):
+            _euler_steps(ctx, tuple(map(np.float64, rows[k])), chi[k:],
+                         pi[k:], h, rows)
+    return rows
+
+
+def _euler_steps(ctx: CruiseContext, state, chi, pi, h, rows: list) -> None:
+    """Step `state` through the node controls, appending each new state."""
+    wind_at = ctx.wind.wind_at
+    qs, ind, tmax = ctx.qs_coeff, ctx.ind_coeff, ctx.T_max
+    cs1, cs2 = ctx.model.C_s1, ctx.model.C_s2
+    cos, sin = math.cos, math.sin
+    x, y, v, m = state
+    append = rows.append
+    for ck, pk in zip(chi, pi):
+        wx, wy = wind_at(x, y)
+        # keeps NaN, as np.maximum does
+        vs = _V_FLOOR if v < _V_FLOOR else v
+        d = qs * vs * vs + ind * m * m / (vs * vs)
+        cs = cs1 * (1.0 + vs / cs2)
+        x = x + h * (v * cos(ck) + wx)
+        y = y + h * (v * sin(ck) + wy)
         v = v + h * (pk * tmax - d) / m
         m = m + h * (-pk * cs * tmax)
-        if full_output:
-            row = traj[k + 1]
-            row[0], row[1], row[2], row[3] = x, y, v, m
-    if full_output:
-        return traj[-1].copy(), traj
-    return np.stack([x, y, v, m])
+        append((x, y, v, m))
 
 
 def _suffix_products(a: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Augmented-Lagrangian outer loop shared by both solvers.
 
-The objective and constraints pass through an ODE rollout (with
-finite-difference feedback inside for the indirect route), so supplied
-gradients are unreliable; the outer loop only needs an inner minimizer of a
-smooth penalized model, which each solver chooses for itself.
+The objective and constraints pass through an ODE rollout: arc switching
+and the closed-form singular-throttle feedback for the indirect route, a
+forward-Euler map for the direct one.  The outer loop only needs an inner
+minimizer of a smooth penalized model, which each solver chooses for itself:
+Nelder-Mead for the indirect route, Gauss-Newton on the exact Euler
+Jacobian for the direct one.
 """
 
 from __future__ import annotations

@@ -114,16 +114,6 @@ def _polar(ctx: CruiseContext, v: float, m: float):
             av_v, av_m, am_v, am_m)
 
 
-def lie_A(ctx: CruiseContext, v: float, m: float, chi: float):
-    """Bracket vector A = (dP/dX) Q - (dQ/dX) P, analytic.
-
-    Wind cancels out of the bracket, so A depends on (v, m, chi) only.
-    """
-    pol = _polar(ctx, v, m)
-    tm = ctx.T_max / m
-    return (-tm * math.cos(chi), -tm * math.sin(chi), pol[4], pol[5])
-
-
 def _brackets(ctx: CruiseContext, m: float, c: float, s: float, pol, grads):
     """B and D from the `_polar` tuple, the heading's cosine and sine and the
     wind gradients; see `lie_B_D`."""
@@ -209,19 +199,6 @@ def _unit_costate(m: float, sysm, eps_det: float):
     lam_m = -1.0 / delta
     rho = k * lam_m
     return rho * c, rho * s, m * pol[0] * lam_m, lam_m
-
-
-def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
-                        m: float, chi: float, eps_det: float = EPS_DET):
-    """Solve the singular-arc co-state system normalized to unit cost weight.
-
-    Returns lambda satisfying <l,P>=0, <l,A>=0, <l,Q>=-1 and
-    lx sin(chi) - ly cos(chi) = 0, together with the equilibrated
-    determinant.  The physical co-state for weight alpha is alpha times
-    this vector.
-    """
-    sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, chi)
-    return _unit_costate(m, sysm, eps_det), sysm[9]
 
 
 def solve_costates_on_singular(ctx: CruiseContext, x: float, y: float,

@@ -5,16 +5,47 @@ solves, scales and differentiates it with NumPy and central differences,
 the way the library did before its algebra was written out by hand; the
 co-state equation comes from the dense Jacobians the same way.  Only the
 tests use it.
+
+`lie_A` and `solve_costates_unit` are the closed-form bracket A and the
+unit-weight singular-arc co-state, kept here because only the tests call
+them; the library reaches the same algebra through `pmp._polar` and
+`pmp._system`.
 """
+
+import math
 
 import numpy as np
 
-from cruiseopt.dynamics import eval_P, eval_Q, zermelo_rhs
-from cruiseopt.pmp import STATE_SCALES, Costate, lie_A
+from cruiseopt.dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
+from cruiseopt.pmp import (EPS_DET, STATE_SCALES, Costate, _polar, _system,
+                          _unit_costate)
 
 from model_oracle import jacobian_P, jacobian_Q
 
 SCALES = np.array(STATE_SCALES)
+
+
+def lie_A(ctx: CruiseContext, v: float, m: float, chi: float):
+    """Bracket vector A = (dP/dX) Q - (dQ/dX) P, analytic.
+
+    Wind cancels out of the bracket, so A depends on (v, m, chi) only.
+    """
+    pol = _polar(ctx, v, m)
+    tm = ctx.T_max / m
+    return (-tm * math.cos(chi), -tm * math.sin(chi), pol[4], pol[5])
+
+
+def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
+                        m: float, chi: float, eps_det: float = EPS_DET):
+    """Solve the singular-arc co-state system normalized to unit cost weight.
+
+    Returns lambda satisfying <l,P>=0, <l,A>=0, <l,Q>=-1 and
+    lx sin(chi) - ly cos(chi) = 0, together with the equilibrated
+    determinant.  The physical co-state for weight alpha is alpha times
+    this vector.
+    """
+    sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, chi)
+    return _unit_costate(m, sysm, eps_det), sysm[9]
 
 
 def costate_rhs(ctx, x, y, v, m, chi, throttle, lam):

@@ -14,7 +14,7 @@ import numpy as np
 from cruiseopt.cli import emit_trajectory_csv
 from cruiseopt.dynamics import eval_P, eval_Q
 from cruiseopt.integrate import _Rhs
-from cruiseopt.pmp import (STATE_SCALES, costate_rhs, hamiltonian, lie_A,
+from cruiseopt.pmp import (STATE_SCALES, costate_rhs, hamiltonian,
                            solve_costates_on_singular)
 from cruiseopt.scenario import make_context
 from cruiseopt.solver import chi0_constant_wind, solve_indirect
@@ -22,6 +22,7 @@ from cruiseopt.solver import chi0_constant_wind, solve_indirect
 import pmp_oracle
 from conftest import fast_options
 from model_oracle import jacobian_P, jacobian_Q
+from pmp_oracle import lie_A
 
 
 def report(capsys, num, ok, detail):

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from cruiseopt.dynamics import eval_P, eval_Q
 from cruiseopt.errors import IllConditionedSystemError
 from cruiseopt.pmp import (STATE_SCALES, costate_rhs, evaluate_feedback,
-                           hamiltonian, legendre_clebsch, lie_A, lie_B_D,
+                           hamiltonian, legendre_clebsch, lie_B_D,
                            scaled_det, singular_throttle,
-                           solve_costates_on_singular, solve_costates_unit,
-                           switching_function)
+                           solve_costates_on_singular, switching_function)
 from cruiseopt.scenario import default_scenario_path, load_scenario, make_context
 
 import pmp_oracle
+from pmp_oracle import lie_A, solve_costates_unit
 
 SCN = load_scenario(default_scenario_path())
 CTX = make_context(SCN)
