@@ -10,11 +10,20 @@ detection is needed.
 
 One RK4 stepper and one right-hand side serve every arc and both uses: the
 state rollout and the joint state/co-state sweep that reconstructs the
-co-states on the bang arcs.  Each RK4 stage looks the wind and its
-gradients up once.  A rollout records states and throttles only; one
-diagnostics pass over a realized trajectory (`diagnose`) fills the exact
-singular throttle, the switching function, Hamiltonian, Legendre-Clebsch
-value, determinant, Mach number and envelope flags.
+co-states on the bang arcs.  The stepper works on plain floats with each
+stage point and the update written out per component, for the five-state
+system and for the nine-component joint system, in the operation order of
+the generic tuple form it replaced, so results are bit-identical to it.
+Each RK4 stage looks the wind and its gradients up once.  A rollout records
+states and throttles only; one diagnostics pass over a realized trajectory
+(`diagnose`) fills the exact singular throttle, the switching function,
+Hamiltonian, Legendre-Clebsch value, determinant, Mach number and envelope
+flags.
+
+The Newton endgame reads only the co-state at tf, so `terminal_costate`
+runs just the singular-arc solves and the forward sweep over the final arc,
+the two steps it shares with `reconstruct_costates`, and skips the backward
+sweep over the first arc.
 """
 
 from __future__ import annotations
@@ -25,10 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmosphere import check_envelope
-from .dynamics import CruiseContext, eval_F, zermelo_rhs
+from .dynamics import CruiseContext
 from .errors import IntegrationError, ValidationError
 from .pmp import (
-    costate_rhs,
     evaluate_feedback,
     hamiltonian,
     legendre_clebsch,
@@ -104,9 +112,14 @@ class _Rhs:
     """Right-hand side of (x, y, v, m, chi), or of the joint state/co-state
     system when called with the co-state appended (nine components).
 
-    The wind and its gradients are looked up once per call and feed the
-    dynamics F = Q + pi P, the heading rate, the singular feedback and the
-    co-state equation.  `throttle` is the bang level; given a cost weight
+    The wind and its gradients are looked up once per call, through the
+    wind field's methods bound at construction, and feed the dynamics
+    F = Q + pi P, the heading rate, the singular feedback and the co-state
+    equation.  F, the heading rate and the co-state equation are written
+    out here, with the context's constants bound at construction, in the
+    operation order of `dynamics.eval_F`, `dynamics.zermelo_rhs` and
+    `pmp.costate_rhs`: rollouts match those point evaluations bit for bit
+    without their calls.  `throttle` is the bang level; given a cost weight
     `alpha`, the throttle comes instead from the singular feedback, clamped
     to [pi_min, pi_max] with clamp events counted, and `throttle` holds the
     value of the last call.
@@ -121,54 +134,114 @@ class _Rhs:
         self.pi_min = pi_min
         self.pi_max = pi_max
         self.clamps = 0
+        self._wind_at = ctx.wind.wind_at
+        self._wind_gradients = ctx.wind.wind_gradients
+        self._consts = (ctx.qs_coeff, ctx.ind_coeff, ctx.T_max,
+                        ctx.model.C_s1, ctx.model.C_s2,
+                        -ctx.cs_slope * ctx.T_max)
 
     def __call__(self, s):
-        ctx = self.ctx
         x, y, v, m, chi = s[:5]
-        wind = ctx.wind.wind_at(x, y)
-        grads = ctx.wind.wind_gradients(x, y)
+        wind = self._wind_at(x, y)
+        grads = self._wind_gradients(x, y)
         pi = self.throttle
         if self.alpha is not None:
-            pi = evaluate_feedback(ctx, x, y, v, m, chi, self.alpha, wind,
-                                   grads).throttle
+            pi = evaluate_feedback(self.ctx, x, y, v, m, chi, self.alpha,
+                                   wind, grads).throttle
             if pi < self.pi_min or pi > self.pi_max:
                 self.clamps += 1
                 pi = min(max(pi, self.pi_min), self.pi_max)
             self.throttle = pi
-        f = eval_F(ctx, x, y, v, m, chi, pi, wind) + (
-            zermelo_rhs(chi, grads),)
+        qs, ind, tmax, cs1, cs2, fuel_v = self._consts
+        wx, wy = wind
+        wxx, wxy, wyx, wyy = grads
+        sn, c = math.sin(chi), math.cos(chi)
+        drag = qs * v * v + ind * m * m / (v * v)
+        f = (v * c + wx,
+             v * sn + wy,
+             -drag / m + pi * (tmax / m),
+             pi * (-(cs1 * (1.0 + v / cs2)) * tmax),
+             sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy)
         if len(s) == 5:
             return f
-        return f + costate_rhs(ctx, v, m, chi, grads, pi, s[5:])
+        lx, ly, lv, lm = s[5:]
+        d_v = 2.0 * qs * v - 2.0 * ind * m * m / v ** 3
+        d_m = 2.0 * ind * m / (v * v)
+        return f + (-(lx * wxx + ly * wyx),
+                    -(lx * wxy + ly * wyy),
+                    -(lx * c + ly * sn + lv * (-d_v / m) + lm * (pi * fuel_v)),
+                    -(lv * ((-d_m / m + drag / (m * m))
+                            + pi * (-tmax / (m * m)))))
+
+
+def _step5(rhs, s, h, hh, h6):
+    """One classical RK4 step of the five-component state (x, y, v, m, chi
+    as x, y, v, m, c), written out; x2 is the x rate at the second stage."""
+    x, y, v, m, c = s
+    x1, y1, v1, m1, c1 = rhs(s)
+    x2, y2, v2, m2, c2 = rhs((x + hh * x1, y + hh * y1, v + hh * v1,
+                              m + hh * m1, c + hh * c1))
+    x3, y3, v3, m3, c3 = rhs((x + hh * x2, y + hh * y2, v + hh * v2,
+                              m + hh * m2, c + hh * c2))
+    x4, y4, v4, m4, c4 = rhs((x + h * x3, y + h * y3, v + h * v3,
+                              m + h * m3, c + h * c3))
+    return (x + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+            y + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+            v + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
+            m + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
+            c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
+
+
+def _step9(rhs, s, h, hh, h6):
+    """`_step5` for the joint system, with the co-state as p, q, r, u."""
+    x, y, v, m, c, p, q, r, u = s
+    x1, y1, v1, m1, c1, p1, q1, r1, u1 = rhs(s)
+    x2, y2, v2, m2, c2, p2, q2, r2, u2 = rhs((
+        x + hh * x1, y + hh * y1, v + hh * v1, m + hh * m1, c + hh * c1,
+        p + hh * p1, q + hh * q1, r + hh * r1, u + hh * u1))
+    x3, y3, v3, m3, c3, p3, q3, r3, u3 = rhs((
+        x + hh * x2, y + hh * y2, v + hh * v2, m + hh * m2, c + hh * c2,
+        p + hh * p2, q + hh * q2, r + hh * r2, u + hh * u2))
+    x4, y4, v4, m4, c4, p4, q4, r4, u4 = rhs((
+        x + h * x3, y + h * y3, v + h * v3, m + h * m3, c + h * c3,
+        p + h * p3, q + h * q3, r + h * r3, u + h * u3))
+    return (x + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+            y + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+            v + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
+            m + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
+            c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
+            p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+            q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+            r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+            u + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4))
 
 
 def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
-    """Classical RK4 with n_steps fixed steps from t0 to t1 on a tuple of
-    plain floats of any length.
+    """Classical RK4 with n_steps fixed steps from t0 to t1 on the state
+    (five components) or the joint state/co-state system (nine), as plain
+    floats.
 
     Returns the state and `rhs.throttle` after every step.  A failing
     right-hand side or a non-finite or stalled state raises IntegrationError
     with the last good state.
     """
     s = tuple(map(float, s0))
+    step = _step5 if len(s) == 5 else _step9
+    call = rhs.__call__     # bound once, not looked up on the type per stage
     h = float(t1 - t0) / n_steps
     hh, h6 = 0.5 * h, h / 6.0
+    isfinite = math.isfinite
     states, throttles = [], []
     for k in range(n_steps):
-        t = t0 + k * h
         try:
-            k1 = rhs(s)
-            k2 = rhs(tuple(a + hh * b for a, b in zip(s, k1)))
-            k3 = rhs(tuple(a + hh * b for a, b in zip(s, k2)))
-            k4 = rhs(tuple(a + h * b for a, b in zip(s, k3)))
+            s_new = step(call, s, h, hh, h6)
         except Exception as exc:
-            raise IntegrationError(t, str(exc), last_state=s) from exc
-        prev = s
-        s = tuple(a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4))
-        if not all(math.isfinite(si) for si in s) or s[2] <= 1.0:
-            raise IntegrationError(t + h, "non-finite or stalled state",
-                                   last_state=prev)
+            raise IntegrationError(t0 + k * h, str(exc), last_state=s) from exc
+        if not (s_new[2] > 1.0 and all(map(isfinite, s_new))):
+            raise IntegrationError(t0 + k * h + h,
+                                   "non-finite or stalled state",
+                                   last_state=s)
+        s = s_new
         states.append(s)
         throttles.append(rhs.throttle)
     return states, throttles
@@ -216,6 +289,43 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
     )
 
 
+def _singular_costates(ctx: CruiseContext, traj: Trajectory,
+                       schedule: ArcSchedule, alpha: float):
+    """The algebraic co-state at the t1 junction sample and at each singular
+    sample, as (index of the junction sample, list of co-states).
+
+    Raises when the weight or the schedule leaves no co-state to
+    reconstruct, and, through the determinant guard of the solve, at an
+    ill-conditioned sample.
+    """
+    if alpha <= 0.0:
+        raise ValidationError("co-state reconstruction requires alpha > 0")
+    # Python ints: a NumPy step count would turn the sweeps' step size, and
+    # with it all their arithmetic, into slower NumPy scalars
+    mid = np.flatnonzero(traj.arc_id == 1).tolist()
+    # a singular arc of 1e-12 s or less is skipped by the rollout
+    if not (schedule.t1 < schedule.t2 and mid):
+        raise ValidationError("co-state reconstruction requires a singular arc")
+    first = mid[0] - 1 if mid[0] > 0 else 0
+    lams = [solve_costates_on_singular(ctx, x, y, v, m, chi, alpha).as_tuple()
+            for x, y, v, m, chi in traj.states[first:mid[-1] + 1]]
+    return first, lams
+
+
+def _final_arc_costates(ctx: CruiseContext, traj: Trajectory,
+                        schedule: ArcSchedule, j: int, lam_j,
+                        pi_min: float) -> list:
+    """Co-states at the samples after j, the last singular sample, from the
+    joint state/co-state sweep forward over the final bang arc; empty when
+    that arc has zero length."""
+    if not (np.any(traj.arc_id == 2) and schedule.tf - schedule.t2 > 1e-12):
+        return []
+    pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
+    chain, _ = _rk4(_Rhs(ctx, pi_end), (*traj.states[j], *lam_j),
+                    traj.t[j], traj.t[-1], len(traj.t) - 1 - j)
+    return [st[5:] for st in chain]
+
+
 def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
                          schedule: ArcSchedule, alpha: float,
                          pi_min: float, pi_max: float) -> Trajectory:
@@ -225,41 +335,34 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
     sample; the bang arcs are covered by integrating the joint
     state/co-state system backward from t1 and forward from t2.
     """
-    if alpha <= 0.0:
-        raise ValidationError("co-state reconstruction requires alpha > 0")
-    if not schedule.t1 < schedule.t2:
-        raise ValidationError("co-state reconstruction requires a singular arc")
-    n = len(traj.t)
-    lam = np.full((n, 4), np.nan)
-    mid = np.where(traj.arc_id == 1)[0]
-    first_mid = mid[0] - 1 if mid[0] > 0 else 0
-    mid_idx = list(range(first_mid, mid[-1] + 1))  # includes the t1 junction
-    for i in mid_idx:
-        x, y, v, m, chi = traj.states[i]
-        cs = solve_costates_on_singular(ctx, x, y, v, m, chi, alpha)
-        lam[i] = cs.as_tuple()
+    first, lams = _singular_costates(ctx, traj, schedule, alpha)
+    last = first + len(lams) - 1
+    lam = np.full((len(traj.t), 4), np.nan)
+    lam[first:last + 1] = lams
 
     # backward sweep over the max-throttle arc
-    pre = np.where(traj.arc_id == 0)[0]
-    if len(pre) > 1 and schedule.t1 > 0.0:
-        j = mid_idx[0]
-        chain, _ = _rk4(_Rhs(ctx, pi_max), np.append(traj.states[j], lam[j]),
-                        traj.t[j], 0.0, j)
-        for k, st in enumerate(chain, 1):
-            lam[j - k] = st[5:]
+    if np.count_nonzero(traj.arc_id == 0) > 1 and schedule.t1 > 0.0:
+        chain, _ = _rk4(_Rhs(ctx, pi_max), (*traj.states[first], *lams[0]),
+                        traj.t[first], 0.0, first)
+        lam[:first] = [st[5:] for st in reversed(chain)]
 
-    # forward sweep over the final bang arc
-    pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
-    post = np.where(traj.arc_id == 2)[0]
-    if len(post) > 0 and schedule.tf - schedule.t2 > 1e-12:
-        j = mid_idx[-1]
-        chain, _ = _rk4(_Rhs(ctx, pi_end), np.append(traj.states[j], lam[j]),
-                        traj.t[j], traj.t[-1], n - 1 - j)
-        for k, st in enumerate(chain, 1):
-            lam[j + k] = st[5:]
-
+    tail = _final_arc_costates(ctx, traj, schedule, last, lams[-1], pi_min)
+    if tail:
+        lam[last + 1:] = tail
     traj.costates = lam
     return traj
+
+
+def terminal_costate(ctx: CruiseContext, traj: Trajectory,
+                     schedule: ArcSchedule, alpha: float, pi_min: float):
+    """The co-state at tf, bit for bit as `reconstruct_costates` fills it,
+    without the backward sweep over the first arc that it does not depend
+    on: the singular-arc solves (and their determinant guard), then the
+    forward sweep over the final arc."""
+    first, lams = _singular_costates(ctx, traj, schedule, alpha)
+    tail = _final_arc_costates(ctx, traj, schedule, first + len(lams) - 1,
+                               lams[-1], pi_min)
+    return (tail or lams)[-1]
 
 
 def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,

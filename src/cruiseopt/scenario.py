@@ -1,8 +1,10 @@
 """Scenario files: boundary conditions, cost weight, wind and aircraft refs.
 
 Scenario files are JSON with explicit SI units in the field names (xf_m,
-v0_mps, ...); there is no unit inference.  The polynomial wind block omits
-its normalization scales, which are taken from the scenario endpoints.
+v0_mps, ...); there is no unit inference.  The polynomial wind block may
+give its normalization scales (x_scale_m, y_scale_m); each one it omits is
+taken from the route's end coordinate, which a due-north or due-east route
+cannot supply.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ _SCENARIO_KEYS = {
 
 _POLY_WIND_KEYS = {"type", "a0", "a1", "a2", "a3", "a4", "a5", "b0", "b1",
                    "wxb_mps", "wyb_mps"}
+_POLY_WIND_SCALE_KEYS = {"x_scale_m", "y_scale_m"}
 _CONST_WIND_KEYS = {"type", "Wx_mps", "Wy_mps"}
 
 
@@ -74,7 +77,7 @@ def _parse_wind(raw: dict, xf: float, yf: float) -> WindField:
             raise ValidationError(f"unknown constant-wind keys: {sorted(unknown)}")
         return ConstantWind(float(raw["Wx_mps"]), float(raw["Wy_mps"]))
     if raw["type"] == "polynomial":
-        unknown = set(raw) - _POLY_WIND_KEYS
+        unknown = set(raw) - _POLY_WIND_KEYS - _POLY_WIND_SCALE_KEYS
         if unknown:
             raise ValidationError(f"unknown polynomial-wind keys: {sorted(unknown)}")
         missing = _POLY_WIND_KEYS - set(raw)
@@ -85,7 +88,8 @@ def _parse_wind(raw: dict, xf: float, yf: float) -> WindField:
             a3=float(raw["a3"]), a4=float(raw["a4"]), a5=float(raw["a5"]),
             b0=float(raw["b0"]), b1=float(raw["b1"]),
             wxb=float(raw["wxb_mps"]), wyb=float(raw["wyb_mps"]),
-            x_f=xf, y_f=yf,
+            x_f=float(raw.get("x_scale_m", xf)),
+            y_f=float(raw.get("y_scale_m", yf)),
         )
     raise ValidationError(f"unknown wind type {raw['type']!r}")
 
@@ -98,6 +102,7 @@ def _wind_to_json(wind: WindField) -> dict:
         "a0": wind.a0, "a1": wind.a1, "a2": wind.a2, "a3": wind.a3,
         "a4": wind.a4, "a5": wind.a5, "b0": wind.b0, "b1": wind.b1,
         "wxb_mps": wind.wxb, "wyb_mps": wind.wyb,
+        "x_scale_m": wind.x_f, "y_scale_m": wind.y_f,
     }
 
 

@@ -24,6 +24,7 @@ from .integrate import (
     diagnose,
     integrate_arcs,
     reconstruct_costates,
+    terminal_costate,
 )
 from .nlp import FAILURE_PENALTY, solve_augmented_lagrangian
 from .pmp import STATE_SCALES, TIME_SCALE
@@ -61,7 +62,7 @@ class Solution:
     cost: float
     residuals: np.ndarray      # terminal (x, y, v) residuals, SI units
     converged: bool
-    n_fev: int
+    n_fev: int                 # objective evaluations, the endgame's included
     n_outer: int
     start_index: int
     seed: int
@@ -208,6 +209,7 @@ class _TerminalPolish:
         self.alpha = alpha
         scn = rollout.scn
         self.x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
+        self.n_fev = 0      # rollouts spent
 
     def _nudge(self, z: np.ndarray) -> np.ndarray:
         """Pull switch times strictly inside the ordering constraints so
@@ -228,6 +230,7 @@ class _TerminalPolish:
         if sched is None:
             return None
         scn = ro.scn
+        self.n_fev += 1
         try:
             traj = integrate_arcs(ro.ctx, sched, self.x0, self.alpha,
                                   scn.pi_min, scn.pi_max,
@@ -239,9 +242,8 @@ class _TerminalPolish:
                 # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
                 # which stays order one for every alpha and turns into the
                 # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
-                traj = reconstruct_costates(ro.ctx, traj, sched, 1.0,
-                                            scn.pi_min, scn.pi_max)
-                mu_m = traj.costates[-1, 3]
+                mu_m = terminal_costate(ro.ctx, traj, sched, 1.0,
+                                        scn.pi_min)[3]
                 if not np.isfinite(mu_m) or mu_m == 0.0:
                     return None
                 r = np.append(r, 1.0 / mu_m - self.alpha / (self.alpha - 1.0))
@@ -396,6 +398,7 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     constant_wind = isinstance(scn.wind, ConstantWind)
     rollout_nlp = _IndirectRollout(ctx, scn, alpha, options.nlp_steps)
     starts = _start_grid(scn, alpha, options, constant_wind)
+    total_fev = 0
     if warm_start is not None:
         times = np.array([warm_start.t1, warm_start.t2, warm_start.tf])
         times /= TIME_SCALE
@@ -411,11 +414,13 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
         endgame = _TerminalPolish(rollout_hi, alpha)
         z_ws, feas_ok, opt_ok = endgame.run(
             z_warm, feas_tol=0.01 * _FEAS_TOL, max_iter=20)
+        total_fev += endgame.n_fev
         if feas_ok and opt_ok:
             sched = rollout_hi.decode(z_ws)
             sol = realize_solution(scn, sched, alpha=alpha,
                                    steps=options.steps)
             sol.converged = True
+            sol.n_fev = total_fev
             sol.seed = options.seed
             return sol
         starts.insert(0, z_warm)
@@ -427,7 +432,6 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
         step_screen[0], step_refine[0], step_polish[0] = 0.05, 0.02, 0.005
 
     screened = []
-    total_fev = 0
     total_outer = 0
     for idx, z0 in enumerate(starts):
         res = solve_augmented_lagrangian(
@@ -484,7 +488,7 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
         [STATE_SCALES[0], STATE_SCALES[1], STATE_SCALES[2]]))))
     sol.converged = (bool(polish.converged or restored) and bool(opt_ok)
                      and feas <= _FEAS_TOL)
-    sol.n_fev = total_fev
+    sol.n_fev = total_fev + endgame.n_fev
     sol.n_outer = total_outer
     sol.start_index = best_idx
     sol.seed = options.seed

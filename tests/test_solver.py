@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cruiseopt.cli import write_solution_dir
+from cruiseopt import solver
 from cruiseopt.errors import DegenerateGeometryError
+from cruiseopt.integrate import integrate_arcs
 from cruiseopt.pmp import TIME_SCALE
 from cruiseopt.scenario import Scenario
 from cruiseopt.solver import (SolverOptions, _IndirectRollout, _start_grid,
@@ -168,12 +170,22 @@ def test_realize_solution_reproduces_cost(sol_04):
     assert np.max(np.abs(rebuilt.residuals - sol_04.residuals)) < 1e-6
 
 
-def test_warm_start_short_circuits_multistart(scenario, sol_04):
+def test_warm_start_short_circuits_multistart(monkeypatch, scenario,
+                                              sol_04):
+    rollouts = []
+
+    def counted(*args, **kwargs):
+        rollouts.append(args[1])
+        return integrate_arcs(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "integrate_arcs", counted)
     sol = solve_indirect(scenario.replace_alpha(0.4), fast_options(),
                          warm_start=sol_04.schedule)
     assert sol.converged
     assert sol.start_index == -1  # never entered the multistart search
     assert sol.cost == pytest.approx(sol_04.cost, rel=1e-9)
+    # every endgame rollout is counted; the last one realizes the solution
+    assert 0 < sol.n_fev == len(rollouts) - 1
 
 
 def test_sweep_returns_input_order_and_growing_bang_arc(scenario):
