@@ -33,9 +33,7 @@ def main() -> int:
 
     scn = load_scenario(default_scenario_path())
     if args.fast:
-        opts = SolverOptions(n_starts=3, n_refine=1, nlp_steps=60, steps=200,
-                             screen_maxfev=100, nm_maxfev=200,
-                             polish_maxfev=250, max_outer=5, polish_outer=2)
+        opts = SolverOptions(n_starts=3, nlp_steps=60, steps=200)
         dopts = DirectOptions(N=200)
     else:
         opts = SolverOptions()

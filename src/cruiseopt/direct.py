@@ -6,8 +6,8 @@ the rollout is forward Euler, deliberately simpler than the indirect
 integrator.  Each rollout is a plain Python-float loop over the nodes:
 the IEEE operations of stepping NumPy arrays, in the same order and so with
 the same bits, inf and NaN included, but without NumPy's per-call overhead
-on single values or its overflow warnings.  The same augmented-Lagrangian
-outer loop enforces the terminal conditions; the inner minimizer is a
+on single values or its overflow warnings.  An augmented-Lagrangian outer
+loop (`nlp`) enforces the terminal conditions; the inner minimizer is a
 projected damped Gauss-Newton method whose terminal-state Jacobian is
 exact: the Euler map is differentiated by its adjoint (reverse) recursion,
 Lambda_k = Lambda_{k+1} A_k from Lambda_N = I, over the node states of the
@@ -32,9 +32,8 @@ _POS = STATE_SCALES[0]
 _SPD = STATE_SCALES[2]
 _V_FLOOR = 5.0  # m/s; keeps the vectorized drag finite on absurd iterates
 # the tf decision variable is expressed in units of 10 s so its penalized
-# gradient stays comparable to the per-node control gradients; a dominant tf
-# component makes L-BFGS-B's unit-norm first step jump hundreds of seconds
-# and the line search cannot recover
+# gradient stays comparable to the per-node control gradients, which the
+# inner loop's isotropic damping (mu I) treats alike
 _TF_UNIT = 10.0
 _FEAS_TOL = 1e-5   # on the scaled terminal residuals
 _RHO0 = 1e6

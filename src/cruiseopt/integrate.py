@@ -4,7 +4,7 @@ The throttle is max on [0, t1), in singular feedback on [t1, t2], and bang
 on (t2, tf]: min by default, max when the terminal speed target sits above
 the singular-arc speed and the last arc must accelerate.  The five-state
 system (x, y, v, m, chi) is integrated with classical RK4 at fixed steps per
-arc; switch times are decision variables of the outer NLP, so arcs are
+arc; switch times are unknowns of the shooting solve, so arcs are
 integrated independently with endpoints aligned to the switches and no event
 detection is needed.
 
@@ -20,7 +20,7 @@ states and throttles only; one diagnostics pass over a realized trajectory
 Hamiltonian, Legendre-Clebsch value, determinant, Mach number and envelope
 flags.
 
-The Newton endgame reads only the co-state at tf, so `terminal_costate`
+The shooting residual reads only the co-state at tf, so `terminal_costate`
 runs just the singular-arc solves and the forward sweep over the final arc,
 the two steps it shares with `reconstruct_costates`, and skips the backward
 sweep over the first arc.

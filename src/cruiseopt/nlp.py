@@ -1,11 +1,10 @@
-"""Augmented-Lagrangian outer loop shared by both solvers.
+"""Augmented-Lagrangian outer loop of the direct solve.
 
-The objective and constraints pass through an ODE rollout: arc switching
-and the closed-form singular-throttle feedback for the indirect route, a
-forward-Euler map for the direct one.  The outer loop only needs an inner
-minimizer of a smooth penalized model, which each solver chooses for itself:
-Nelder-Mead for the indirect route, Gauss-Newton on the exact Euler
-Jacobian for the direct one.
+The objective and constraints pass through the forward-Euler rollout.  The
+outer loop only needs an inner minimizer of a smooth penalized model, which
+the caller supplies: Gauss-Newton on the exact Euler Jacobian in `direct`.
+The indirect solver does not use this loop; it shoots on its square system
+of first-order conditions instead.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-# Penalty returned for rollouts that fail outright; a slope toward surviving
-# trajectories is added by the callers where they can measure one.
+# Penalty the penalized model returns for rollouts that fail outright.
 FAILURE_PENALTY = 1.0e9
 # The penalty grows by this factor, up to this cap, after an outer iteration
 # that cut the infeasibility by less than a factor four.

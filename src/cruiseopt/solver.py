@@ -1,11 +1,12 @@
-"""Switching-point solver: optimize (chi0, t1, t2, tf) with feedback controls.
+"""Switching-point solver: shoot on (chi0, t1, t2, tf) with feedback controls.
 
-The throttle structure is fixed to max / singular / min; the heading follows
-the navigation ODE from chi0.  Terminal position and speed become equality
-constraints of a four-variable NLP solved by an augmented-Lagrangian outer
-loop around a Nelder-Mead simplex, with deterministic seeded multi-start.
-For a constant wind field the initial heading drops out of the decision
-vector: it is pinned by the endpoint geometry and the final time.
+The throttle structure is fixed to max / singular / bang; the heading follows
+the navigation ODE from chi0.  The unknowns close a square system: the
+scaled terminal position and speed plus the endpoint condition on the mass
+co-state, solved by a Levenberg-Marquardt shooting method from a
+deterministic seeded set of starts.  For a constant wind field the initial
+heading drops out of the unknowns: it is pinned by the endpoint geometry and
+the final time.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .dynamics import CruiseContext
-from .errors import CruiseOptError, DegenerateGeometryError, IntegrationError
+from .errors import CruiseOptError, DegenerateGeometryError
 from .integrate import (
     ArcSchedule,
     Trajectory,
@@ -26,31 +26,22 @@ from .integrate import (
     reconstruct_costates,
     terminal_costate,
 )
-from .nlp import FAILURE_PENALTY, solve_augmented_lagrangian
+# unused here; the benchmark's tracer resolves the nlp.* spans through it
+from .nlp import solve_augmented_lagrangian  # noqa: F401
 from .pmp import STATE_SCALES, TIME_SCALE
 from .scenario import Scenario, make_context
 from .wind import ConstantWind
 
 _POS = STATE_SCALES[0]
 _SPD = STATE_SCALES[2]
-_FEAS_TOL = 1e-6          # on scaled terminal residuals
-_SCREEN_FEAS_TOL = 1e-3
-_RHO0 = 1e4
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     n_starts: int = 8
-    n_refine: int = 2          # starts carried from screening into refinement
     seed: int = 0
-    nlp_steps: int = 120       # RK4 steps per arc inside the NLP
+    nlp_steps: int = 120       # RK4 steps per arc for the coarse solve
     steps: int = 400           # RK4 steps per arc for the returned trajectory
-    max_outer: int = 6
-    screen_outer: int = 2
-    polish_outer: int = 3
-    nm_maxfev: int = 260
-    screen_maxfev: int = 140
-    polish_maxfev: int = 420
 
 
 @dataclass
@@ -62,8 +53,7 @@ class Solution:
     cost: float
     residuals: np.ndarray      # terminal (x, y, v) residuals, SI units
     converged: bool
-    n_fev: int                 # objective evaluations, the endgame's included
-    n_outer: int
+    n_fev: int                 # rollouts spent by the solve
     start_index: int
     seed: int
     clamp_count: int
@@ -88,7 +78,8 @@ def chi0_constant_wind(scn: Scenario, tf: float) -> float:
 
 
 class _IndirectRollout:
-    """Maps a decision vector to (cost, scaled terminal residuals)."""
+    """Decodes a scaled unknown vector into a schedule and scales the
+    terminal residuals of its rollout."""
 
     def __init__(self, ctx: CruiseContext, scn: Scenario, alpha: float,
                  steps: int, final_throttle: float | None = None):
@@ -98,7 +89,6 @@ class _IndirectRollout:
         self.steps = steps
         self.final_throttle = final_throttle
         self.constant_wind = isinstance(scn.wind, ConstantWind)
-        self.ndim = 3 if self.constant_wind else 4
 
     def decode(self, z) -> ArcSchedule | None:
         if self.constant_wind:
@@ -114,13 +104,6 @@ class _IndirectRollout:
         return ArcSchedule(t1=t1, t2=t2, tf=tf, chi0=chi0,
                            final_throttle=self.final_throttle)
 
-    def _ordering_violation(self, z) -> float:
-        zt = z if self.constant_wind else z[1:]
-        t1, t2, tf = (zi * TIME_SCALE for zi in zt)
-        return max(0.0, -t1) + max(0.0, t1 - t2) + max(0.0, t2 - tf) + max(
-            0.0, -tf
-        )
-
     def residuals(self, final_state) -> np.ndarray:
         return np.array([
             (final_state[0] - self.scn.xf) / _POS,
@@ -128,80 +111,37 @@ class _IndirectRollout:
             (final_state[2] - self.scn.vf) / _SPD,
         ])
 
-    def cost_of(self, tf: float, mf: float) -> float:
-        return self.alpha * tf + (self.alpha - 1.0) * mf
-
-    def __call__(self, z):
-        sched = self.decode(z)
-        if sched is None:
-            viol = self._ordering_violation(z)
-            return FAILURE_PENALTY * (1.0 + viol / TIME_SCALE), np.full(3, 10.0)
-        x0 = (self.scn.x0, self.scn.y0, self.scn.v0, self.scn.m0)
-        try:
-            traj = integrate_arcs(self.ctx, sched, x0, self.alpha,
-                                  self.scn.pi_min, self.scn.pi_max,
-                                  steps_per_arc=self.steps)
-        except IntegrationError as exc:
-            # grade failures by how far the rollout survived and where the
-            # last finite state sat, so the simplex has a slope to follow
-            frac = max(0.0, 1.0 - exc.t / sched.tf)
-            if exc.last_state is not None:
-                r = self.residuals(exc.last_state)
-                extra = float(np.sum(np.abs(r)))
-            else:
-                extra = 10.0
-            return FAILURE_PENALTY * (1.0 + frac) + 1e6 * extra, np.full(3, 10.0)
-        except CruiseOptError:
-            return FAILURE_PENALTY * 2.0, np.full(3, 10.0)
-        j = self.cost_of(sched.tf, traj.final_mass)
-        return j, self.residuals(traj.final_state)
-
-
-def _nm_inner(maxfev: int, step: np.ndarray):
-    """Nelder-Mead inner minimizer with an explicit initial simplex."""
-
-    def inner(model, z0):
-        n = len(z0)
-        simplex = np.tile(z0, (n + 1, 1))
-        for i in range(n):
-            simplex[i + 1, i] += step[i]
-        res = optimize.minimize(
-            model, z0, method="Nelder-Mead",
-            options={
-                "maxfev": maxfev,
-                "xatol": 1e-10,
-                "fatol": 1e-10,
-                "initial_simplex": simplex,
-            },
-        )
-        return res.x, res.nfev
-
-    return inner
-
 
 _POLISH_FD = 1e-7
 _POLISH_MARGIN = 20.0 * _POLISH_FD
-_POLISH_STEP_CAP = 0.05     # scaled units; 50 s on switch times
+_FEAS_TOL = 1e-8            # on the scaled terminal residuals
+_COSTATE_TOL = 1e-10        # on the endpoint co-state residual
+_LM_MAX_ITER = 40           # trial steps per Levenberg-Marquardt solve
+_LM_LAMBDA0 = 1e-6          # initial damping, relative to diag(J^T J)
 # Below this cost weight the optimum sits against the degenerate co-state
 # manifold (the mass co-state normalization saturates the determinant
 # guard), so the endpoint co-state equation is driven best-effort and a
 # feasible result is accepted: the asymptotic regime.
 _ALPHA_ASYMPTOTIC = 1e-4
+# From this cost weight up the singular arc collapses and the co-state
+# equation closes from no start; the fourth condition pins the singular arc
+# shut instead, which leaves max / bang switching.
+_ALPHA_COLLAPSED = 0.9
 
 
 class _TerminalPolish:
-    """Damped Gauss-Newton endgame on the switching-point system.
+    """Levenberg-Marquardt shooting solve on the switching-point system.
 
-    The derivative-free inner minimizer settles into the flat cost valley at
-    around 1e-4 scaled feasibility; near the fuel-only limit the valley is so
-    flat that it also stalls short of the optimum.  The endgame therefore
-    solves the square system of first-order conditions directly: the three
-    scaled terminal residuals plus the endpoint condition on the mass
-    co-state, lam_m(tf) = alpha - 1, which closes the system exactly at the
-    optimum.  The co-state equation is dropped when a degenerate arc
-    structure leaves nothing to reconstruct, leaving a least-norm projection
-    onto the terminal-condition manifold that preserves the NLP's cost to
-    first order.
+    The square system of first-order conditions is the three scaled
+    terminal residuals plus the endpoint condition on the mass co-state,
+    lam_m(tf) = alpha - 1, which closes it exactly at the optimum.  In the
+    asymptotic regime the co-state equation is driven only after a
+    least-norm projection onto the terminal-condition manifold (the
+    feasibility-only system is underdetermined); from `_ALPHA_COLLAPSED` up
+    it is replaced by the collapsed-singular-arc condition.  Under a
+    constant wind the heading is pinned by the endpoint geometry and tf,
+    which makes the x and y residuals collinear: the fourth condition still
+    supplies the missing along-track one.
     """
 
     def __init__(self, rollout: "_IndirectRollout", alpha: float):
@@ -213,7 +153,7 @@ class _TerminalPolish:
 
     def _nudge(self, z: np.ndarray) -> np.ndarray:
         """Pull switch times strictly inside the ordering constraints so
-        central differences never cross the penalty wall."""
+        central differences never leave the schedule domain."""
         z = np.array(z, dtype=float)
         it = 0 if self.rollout.constant_wind else 1
         t1, t2, tf = z[it], z[it + 1], z[it + 2]
@@ -224,7 +164,9 @@ class _TerminalPolish:
         z[it], z[it + 1], z[it + 2] = t1, t2, tf
         return z
 
-    def residual(self, z, with_costate: bool) -> np.ndarray | None:
+    def residual(self, z, square: bool) -> np.ndarray | None:
+        """The scaled terminal residuals and, when `square`, the fourth
+        condition; None when the schedule or its rollout fails."""
         ro = self.rollout
         sched = ro.decode(z)
         if sched is None:
@@ -236,119 +178,118 @@ class _TerminalPolish:
                                   scn.pi_min, scn.pi_max,
                                   steps_per_arc=ro.steps)
             r = ro.residuals(traj.final_state)
-            if with_costate:
-                # Endpoint condition in the alpha-invariant normalized
-                # co-state mu = lam / alpha (reconstructed with unit weight):
-                # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
-                # which stays order one for every alpha and turns into the
-                # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
-                mu_m = terminal_costate(ro.ctx, traj, sched, 1.0,
-                                        scn.pi_min)[3]
-                if not np.isfinite(mu_m) or mu_m == 0.0:
-                    return None
-                r = np.append(r, 1.0 / mu_m - self.alpha / (self.alpha - 1.0))
-            return r
+            if not square:
+                return r
+            if self.alpha >= _ALPHA_COLLAPSED:
+                it = 0 if ro.constant_wind else 1
+                return np.append(r, z[it + 1] - z[it] - _POLISH_MARGIN)
+            # Endpoint condition in the alpha-invariant normalized co-state
+            # mu = lam / alpha (reconstructed with unit weight):
+            # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
+            # which stays order one for every alpha and turns into the
+            # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
+            mu_m = terminal_costate(ro.ctx, traj, sched, 1.0,
+                                    scn.pi_min)[3]
         except CruiseOptError:
             return None
+        if not np.isfinite(mu_m) or mu_m == 0.0:
+            return None
+        return np.append(r, 1.0 / mu_m - self.alpha / (self.alpha - 1.0))
 
-    def _gauss_newton(self, z, with_costate: bool, max_iter: int,
-                      feas_tol: float):
-        """Damped GN sweep; trial points are projected back inside the
-        schedule ordering so boundary-pinned switch times do not kill the
-        line search.  Returns (z, residual) at the best point reached."""
-        ndim = len(z)
-        r = self.residual(z, with_costate)
+    def _jacobian(self, z, square: bool) -> np.ndarray | None:
+        """Central differences; None when a perturbed rollout fails."""
+        cols = []
+        for dz in _POLISH_FD * np.eye(len(z)):
+            rp = self.residual(z + dz, square)
+            rm = self.residual(z - dz, square)
+            if rp is None or rm is None:
+                return None
+            cols.append((rp - rm) / (2.0 * _POLISH_FD))
+        return np.column_stack(cols)
+
+    def _levenberg_marquardt(self, z, square: bool):
+        """Damped least-squares steps with the gain-ratio damping update
+        of Nielsen (IMM-REP-1999-05) and the scaling D = diag(J^T J) of
+        Moré (1978).  Trial points are projected back inside the schedule
+        ordering, and the gain ratio compares the actual reduction with the
+        one predicted for that projected step.  Returns (z, residual) at
+        the last accepted point; the residual is None when the rollout at
+        the start point fails."""
+        r = self.residual(z, square)
         if r is None:
             return z, None
-        m = len(r)
-        for _ in range(max_iter):
-            norm = float(np.linalg.norm(r))
-            feas = float(np.max(np.abs(r[:3])))
-            done_opt = (not with_costate) or abs(r[3]) <= 1e-10
-            if feas <= feas_tol and done_opt:
+        lam, nu, jac = _LM_LAMBDA0, 2.0, None
+        for _ in range(_LM_MAX_ITER):
+            if _closed(r):
                 break
-            jac = np.zeros((m, ndim))
-            ok = True
-            for i in range(ndim):
-                zp = z.copy()
-                zp[i] += _POLISH_FD
-                zm = z.copy()
-                zm[i] -= _POLISH_FD
-                rp = self.residual(zp, with_costate)
-                rm = self.residual(zm, with_costate)
-                if rp is None or rm is None:
-                    ok = False
+            if jac is None:
+                jac = self._jacobian(z, square)
+                if jac is None:
                     break
-                jac[:, i] = (rp - rm) / (2.0 * _POLISH_FD)
-            if not ok:
-                break
-            dz = -jac.T @ np.linalg.solve(
-                jac @ jac.T + 1e-12 * np.eye(m), r)
-            # trust-region cap: full Newton steps can overshoot across the
-            # fold where the last arc collapses, so path-follow instead
-            mx = float(np.max(np.abs(dz)))
-            if mx > _POLISH_STEP_CAP:
-                dz *= _POLISH_STEP_CAP / mx
-            scale = 1.0
-            for _ in range(12):
-                z_try = self._nudge(z + scale * dz)
-                r_try = self.residual(z_try, with_costate)
-                if r_try is not None and np.linalg.norm(r_try) < norm:
-                    z = z_try
-                    r = r_try
-                    break
-                scale *= 0.5
+                scale = np.sqrt(np.sum(jac * jac, axis=0))
+            dz = np.linalg.lstsq(
+                np.vstack([jac, np.diag(math.sqrt(lam) * scale)]),
+                np.concatenate([-r, np.zeros(len(z))]), rcond=None)[0]
+            z_try = self._nudge(z + dz)
+            r_try = self.residual(z_try, square)
+            pred = r @ r - np.sum((r + jac @ (z_try - z)) ** 2)
+            gain = -1.0
+            if r_try is not None and pred > 0.0:
+                gain = (r @ r - r_try @ r_try) / pred
+            if gain > 0.0:
+                z, r, jac = z_try, r_try, None
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu = 2.0
             else:
-                break
+                lam *= nu
+                nu *= 2.0
         return z, r
 
-    def run(self, z0, feas_tol: float, max_iter: int = 8):
-        """Polish z0; returns (z, feasibility met, optimality system met).
+    def run(self, z0) -> tuple[np.ndarray, bool]:
+        """Solve from z0; returns (z, whether the system closed).
 
-        If the co-state equation cannot be closed because the idle final
-        arc has collapsed to zero length, the terminal speed target sits
-        above the singular-arc speed and the last arc must accelerate:
-        the polish retries with a max-throttle final arc, keeping that
-        structure only when the full system then converges.
+        If the system does not close with the rollout's final-arc
+        structure, the solve retries with the other one (idle or max
+        throttle), seeded with a short last arc, and keeps that structure
+        only when the system then closes.  A collapsing idle final arc
+        means the terminal speed target sits above the singular-arc speed
+        and the last arc must accelerate.
         """
-        z, feas_ok, opt_ok = self._run_structure(z0, feas_tol, max_iter)
-        if feas_ok and not opt_ok:
-            orig = self.rollout.final_throttle
-            self.rollout.final_throttle = (
-                self.rollout.scn.pi_max if orig is None else None)
-            it = 0 if self.rollout.constant_wind else 1
-            z_seed = z.copy()
-            z_seed[it + 1] = z_seed[it + 2] - 2e-3  # seed a short last arc
-            z2, f2, o2 = self._run_structure(z_seed, feas_tol, max_iter)
-            if f2 and o2:
-                return z2, f2, o2
-            self.rollout.final_throttle = orig
-        return z, feas_ok, opt_ok
+        z, ok = self._run_structure(z0)
+        if ok:
+            return z, True
+        orig = self.rollout.final_throttle
+        self.rollout.final_throttle = (
+            self.rollout.scn.pi_max if orig is None else None)
+        it = 0 if self.rollout.constant_wind else 1
+        z_seed = z.copy()
+        z_seed[it + 1] = z_seed[it + 2] - 2e-3  # seed a short last arc
+        z2, ok = self._run_structure(z_seed)
+        if ok:
+            return z2, True
+        self.rollout.final_throttle = orig
+        return z, False
 
-    def _run_structure(self, z0, feas_tol: float, max_iter: int):
+    def _run_structure(self, z0) -> tuple[np.ndarray, bool]:
         z = self._nudge(z0)
-        sched = self.rollout.decode(z)
-        # under a constant wind the heading is pinned by the endpoint
-        # geometry and tf, which makes the x and y residuals collinear: the
-        # co-state equation still supplies the missing along-track condition
-        with_costate = (
-            self.alpha < 0.9 and sched is not None
-            and sched.t1 < sched.t2 < sched.tf
-        )
-        # feasibility first: a least-norm projection onto the terminal
-        # manifold, then close the square system with the co-state equation
-        z, r = self._gauss_newton(z, False, max_iter, feas_tol)
+        if self.alpha >= _ALPHA_ASYMPTOTIC:
+            z, r = self._levenberg_marquardt(z, True)
+            return z, r is not None and _closed(r)
+        # feasibility first, then the co-state equation best-effort
+        z, r = self._levenberg_marquardt(z, False)
         if r is None:
-            return np.asarray(z0, dtype=float), False, False
-        asymptotic = self.alpha < _ALPHA_ASYMPTOTIC
-        opt_ok = (not with_costate) or asymptotic
-        if with_costate:
-            z_opt, r_opt = self._gauss_newton(z, True, max_iter, feas_tol)
-            if r_opt is not None and np.max(np.abs(r_opt[:3])) <= feas_tol:
-                z, r = z_opt, r_opt
-                opt_ok = opt_ok or bool(abs(r_opt[3]) <= 1e-10)
-        feas = float(np.max(np.abs(r[:3])))
-        return z, feas <= feas_tol, bool(opt_ok)
+            return z, False
+        z_opt, r_opt = self._levenberg_marquardt(z, True)
+        if r_opt is not None and _closed(r_opt[:3]):
+            z, r = z_opt, r_opt
+        return z, _closed(r[:3])
+
+
+def _closed(r: np.ndarray) -> bool:
+    """The stopping rule: terminal residuals, and the fourth condition
+    when the system carries it."""
+    return bool(np.max(np.abs(r[:3])) <= _FEAS_TOL
+                and (len(r) == 3 or abs(r[3]) <= _COSTATE_TOL))
 
 
 def _start_grid(scn: Scenario, alpha: float, options: SolverOptions,
@@ -383,114 +324,71 @@ def _start_grid(scn: Scenario, alpha: float, options: SolverOptions,
 def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
                    alpha: float | None = None,
                    warm_start: "ArcSchedule | None" = None) -> Solution:
-    """Solve the switching-point NLP and return the best feasible solution.
+    """Solve the switching-point system and return the first start that
+    closes it.
 
-    Screening runs every start cheaply; the most promising starts get the
-    full augmented-Lagrangian treatment, and the winner is polished at the
-    final integration resolution.  Ties break by lowest start index so the
-    result is deterministic for a fixed seed.  A warm-start schedule (e.g.
-    from a neighboring cost weight in a sweep) is prepended to the start
-    grid and competes with it on equal terms.
+    Each start of the seeded grid is solved at `options.nlp_steps` RK4
+    steps per arc, then, if that closes, again at `options.steps` from the
+    result; the first start that closes the system at `options.steps` wins
+    and is recorded as `start_index`.  A warm-start schedule (e.g. from a
+    neighboring cost weight in a sweep) is tried first, at `options.steps`
+    only, and is recorded as start -1.  When no start closes, the feasible
+    result of lowest cost is returned with `converged=False` (the least
+    infeasible one when none is feasible).
     """
     options = options or SolverOptions()
     alpha = scn.alpha if alpha is None else alpha
     ctx = make_context(scn)
     constant_wind = isinstance(scn.wind, ConstantWind)
-    rollout_nlp = _IndirectRollout(ctx, scn, alpha, options.nlp_steps)
-    starts = _start_grid(scn, alpha, options, constant_wind)
-    total_fev = 0
+    attempts = [(i, z, None, (options.nlp_steps, options.steps))
+                for i, z in enumerate(
+                    _start_grid(scn, alpha, options, constant_wind))]
     if warm_start is not None:
         times = np.array([warm_start.t1, warm_start.t2, warm_start.tf])
         times /= TIME_SCALE
-        if constant_wind:
-            z_warm = times
-        else:
-            z_warm = np.array([warm_start.chi0, *times])
-        # a warm start from a neighboring cost weight usually sits close
-        # enough that the Newton endgame alone reaches the new optimum;
-        # only fall back to the multistart search when it does not
-        rollout_hi = _IndirectRollout(ctx, scn, alpha, options.steps,
-                                      final_throttle=warm_start.final_throttle)
-        endgame = _TerminalPolish(rollout_hi, alpha)
-        z_ws, feas_ok, opt_ok = endgame.run(
-            z_warm, feas_tol=0.01 * _FEAS_TOL, max_iter=20)
-        total_fev += endgame.n_fev
-        if feas_ok and opt_ok:
-            sched = rollout_hi.decode(z_ws)
-            sol = realize_solution(scn, sched, alpha=alpha,
-                                   steps=options.steps)
-            sol.converged = True
-            sol.n_fev = total_fev
-            sol.seed = options.seed
-            return sol
-        starts.insert(0, z_warm)
-    ndim = rollout_nlp.ndim
-    step_screen = np.full(ndim, 0.2)
-    step_refine = np.full(ndim, 0.05)
-    step_polish = np.full(ndim, 0.01)
-    if not constant_wind:
-        step_screen[0], step_refine[0], step_polish[0] = 0.05, 0.02, 0.005
+        z_warm = times if constant_wind else np.array([warm_start.chi0, *times])
+        attempts.insert(0, (-1, z_warm, warm_start.final_throttle,
+                            (options.steps,)))
+    n_fev = 0
+    tried = []
+    for idx, z, final_throttle, resolutions in attempts:
+        for steps in resolutions:
+            rollout = _IndirectRollout(ctx, scn, alpha, steps, final_throttle)
+            shooting = _TerminalPolish(rollout, alpha)
+            z, closed = shooting.run(z)
+            n_fev += shooting.n_fev
+            final_throttle = rollout.final_throttle
+            if not closed:
+                break
+        if closed:
+            return _solution(scn, rollout.decode(z), alpha, options, True,
+                             n_fev, idx)
+        tried.append((idx, rollout.decode(z)))
+    # no start closed: the feasible result of lowest cost, else the least
+    # infeasible one, among those that realize
+    sols = []
+    for idx, sched in tried:
+        try:
+            sols.append(_solution(scn, sched, alpha, options, False, n_fev,
+                                  idx))
+        except CruiseOptError as exc:
+            error = exc
+    if not sols:
+        raise error
+    scales = np.array(STATE_SCALES[:3])
 
-    screened = []
-    total_outer = 0
-    for idx, z0 in enumerate(starts):
-        res = solve_augmented_lagrangian(
-            rollout_nlp, z0, 3,
-            _nm_inner(options.screen_maxfev, step_screen),
-            feas_tol=_SCREEN_FEAS_TOL,
-            max_outer=options.screen_outer,
-            rho0=_RHO0,
-        )
-        total_fev += res.n_fev
-        total_outer += res.n_outer
-        screened.append((idx, res))
+    def rank(sol):
+        infeas = float(np.max(np.abs(sol.residuals) / scales))
+        return (0.0, sol.cost) if infeas <= _FEAS_TOL else (1.0, infeas)
 
-    screened.sort(key=lambda t: (float(np.max(np.abs(t[1].resid))) > 10 * _SCREEN_FEAS_TOL,
-                                 t[1].cost, t[0]))
-    refined = []
-    for idx, sres in screened[: max(1, options.n_refine)]:
-        res = solve_augmented_lagrangian(
-            rollout_nlp, sres.z, 3,
-            _nm_inner(options.nm_maxfev, step_refine),
-            feas_tol=_FEAS_TOL,
-            max_outer=options.max_outer,
-            rho0=max(_RHO0, sres.rho),
-            nu0=sres.nu,
-        )
-        total_fev += res.n_fev
-        total_outer += res.n_outer
-        refined.append((idx, res))
+    return min(sols, key=rank)
 
-    feasible = [(i, r) for i, r in refined if r.converged]
-    pool = feasible or refined
-    pool.sort(key=lambda t: (t[1].cost, t[0]))
-    best_idx, best = pool[0]
 
-    # polish at the final integration resolution
-    rollout_hi = _IndirectRollout(ctx, scn, alpha, options.steps)
-    polish = solve_augmented_lagrangian(
-        rollout_hi, best.z, 3,
-        _nm_inner(options.polish_maxfev, step_polish),
-        feas_tol=_FEAS_TOL,
-        max_outer=options.polish_outer,
-        rho0=max(_RHO0, best.rho),
-        nu0=best.nu,
-    )
-    total_fev += polish.n_fev
-    total_outer += polish.n_outer
-
-    endgame = _TerminalPolish(rollout_hi, alpha)
-    z_final, restored, opt_ok = endgame.run(
-        polish.z, feas_tol=0.01 * _FEAS_TOL)
-    sched = rollout_hi.decode(z_final)
+def _solution(scn, sched, alpha, options, converged, n_fev, start_index):
     sol = realize_solution(scn, sched, alpha=alpha, steps=options.steps)
-    feas = float(np.max(np.abs(sol.residuals / np.array(
-        [STATE_SCALES[0], STATE_SCALES[1], STATE_SCALES[2]]))))
-    sol.converged = (bool(polish.converged or restored) and bool(opt_ok)
-                     and feas <= _FEAS_TOL)
-    sol.n_fev = total_fev + endgame.n_fev
-    sol.n_outer = total_outer
-    sol.start_index = best_idx
+    sol.converged = converged
+    sol.n_fev = n_fev
+    sol.start_index = start_index
     sol.seed = options.seed
     return sol
 
@@ -509,7 +407,8 @@ def realize_solution(scn: Scenario, sched: ArcSchedule,
     x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
     traj = integrate_arcs(ctx, sched, x0, alpha, scn.pi_min, scn.pi_max,
                           steps_per_arc=steps)
-    if alpha > 0.0 and sched.t1 < sched.t2:
+    # the rollout's skip rule decides whether a singular arc exists
+    if alpha > 0.0 and np.any(traj.arc_id == 1):
         traj = reconstruct_costates(ctx, traj, sched, alpha, scn.pi_min,
                                     scn.pi_max)
     diagnose(ctx, traj, alpha, scn.pi_min, scn.pi_max)
@@ -528,7 +427,6 @@ def realize_solution(scn: Scenario, sched: ArcSchedule,
         residuals=resid_phys,
         converged=True,
         n_fev=0,
-        n_outer=0,
         start_index=-1,
         seed=-1,
         clamp_count=traj.clamp_count,
@@ -674,7 +572,7 @@ def verify_solution(sol: Solution,
 def _continue_to(scn: Scenario, a_from: float, a_target: float, warm,
                  options, depth: int) -> Solution:
     """Warm-started solve at a_target, bisecting the weight interval when a
-    single continuation step is too long for the Newton endgame."""
+    single continuation step is too long for the warm-started solve."""
     sol = solve_indirect(scn.replace_alpha(a_target), options,
                          warm_start=warm)
     if sol.converged or depth <= 0:

@@ -22,9 +22,7 @@ from cruiseopt.solver import SolverOptions, solve_indirect
 
 
 def fast_options(**overrides) -> SolverOptions:
-    opts = SolverOptions(n_starts=3, n_refine=1, nlp_steps=60, steps=200,
-                         screen_maxfev=100, nm_maxfev=200, polish_maxfev=250,
-                         max_outer=5, polish_outer=2)
+    opts = SolverOptions(n_starts=3, nlp_steps=60, steps=200)
     return replace(opts, **overrides) if overrides else opts
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import direct_oracle
@@ -191,6 +191,33 @@ def _node_controls(data, n, lo, hi):
                                        max_size=n)))
 
 
+def _nonstiff_rollout(data, scn, chi, pi, tf_lo):
+    """The rollout in the middle of a run of final times whose Euler steps
+    are all non-stiff: the first such run, on a 0.05 grid over
+    [tf_lo, 100) in units of 10 s, at or after a drawn grid point, wrapping
+    around.  The node speeds, and with them the stiffness, depend on the
+    throttle and the step h = tf / N but not on the heading; with zero
+    throttle a fifth to a third of the grid qualifies for every N in
+    [10, 60], in runs no more than 22 units apart.  The middle of a run
+    (of its first 21 points at most) keeps every node clear of the speed
+    floor, where the oracle's central differences would straddle the
+    floor's kink."""
+    grid = np.arange(tf_lo, 100.0, 0.05)
+    start = data.draw(st.integers(0, len(grid) - 1))
+    run = []
+    for k in range(len(grid)):
+        i = (start + k) % len(grid)
+        out = _rollout_and_states(scn, chi, pi, float(grid[i]))
+        if _nonstiff(*out) and not (i == 0 and run):
+            run.append(out)
+        elif run:
+            break
+        if len(run) == 21:      # the middle is then 0.5 units inside
+            break
+    assert run, "no final time on the grid gives non-stiff steps"
+    return run[len(run) // 2]
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_exact_jacobian_matches_central_differences(data):
@@ -198,9 +225,7 @@ def test_exact_jacobian_matches_central_differences(data):
     n = data.draw(st.integers(10, 60))
     chi = _node_controls(data, n, -math.pi, math.pi)
     pi = _node_controls(data, n, scn.pi_min, scn.pi_max)
-    rollout, z, states = _rollout_and_states(
-        scn, chi, pi, data.draw(st.floats(20.0, 100.0)))
-    assume(_nonstiff(rollout, z, states))
+    rollout, z, states = _nonstiff_rollout(data, scn, chi, pi, 20.0)
     assert np.all(_row_gap(rollout, z, states) <= 1e-6)
 
 
@@ -213,10 +238,8 @@ def test_exact_jacobian_below_the_speed_floor(data):
     scn = data.draw(st.sampled_from([SCN, SCN_CW]))
     n = data.draw(st.integers(10, 60))
     chi = _node_controls(data, n, -math.pi, math.pi)
-    rollout, z, states = _rollout_and_states(
-        scn, chi, np.zeros(n), data.draw(st.floats(30.0, 100.0)))
+    rollout, z, states = _nonstiff_rollout(data, scn, chi, np.zeros(n), 30.0)
     assert np.any(states[:-1, 2] < _V_FLOOR)
-    assume(_nonstiff(rollout, z, states))
     assert np.all(_row_gap(rollout, z, states) <= 1e-6)
 
 
