@@ -3,9 +3,11 @@
 A library and CLI that solves planar cruise trajectories for a point-mass
 aircraft in a wind field by the indirect route: the heading follows the
 Zermelo navigation law, the throttle is bang / singular / bang with the
-singular value given in co-state feedback, and the switch times plus the
-initial heading form a four-variable NLP.  An Euler direct-transcription
-solver provides an independent cross-check.
+singular value given in co-state feedback, and the switch times, the final
+time and the initial heading solve a square shooting system (terminal
+position and speed plus the mass co-state's endpoint condition) by
+Levenberg-Marquardt.  An Euler direct-transcription solver provides an
+independent cross-check.
 """
 
 from .atmosphere import AircraftModel, Atmosphere, load_aircraft

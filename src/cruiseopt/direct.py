@@ -7,9 +7,9 @@ integrator.  Each rollout is a plain Python-float loop over the nodes:
 the IEEE operations of stepping NumPy arrays, in the same order and so with
 the same bits, inf and NaN included, but without NumPy's per-call overhead
 on single values or its overflow warnings.  An augmented-Lagrangian outer
-loop (`nlp`) enforces the terminal conditions; the inner minimizer is a
-projected damped Gauss-Newton method whose terminal-state Jacobian is
-exact: the Euler map is differentiated by its adjoint (reverse) recursion,
+loop enforces the terminal conditions; the inner minimizer is a projected
+damped Gauss-Newton method whose terminal-state Jacobian is exact: the
+Euler map is differentiated by its adjoint (reverse) recursion,
 Lambda_k = Lambda_{k+1} A_k from Lambda_N = I, over the node states of the
 rollout that was just accepted (Bryson & Ho, Applied Optimal Control,
 ch. 2).
@@ -24,7 +24,6 @@ import numpy as np
 
 from .dynamics import CruiseContext
 from .errors import ValidationError
-from .nlp import solve_augmented_lagrangian
 from .pmp import STATE_SCALES
 from .scenario import Scenario, make_context
 
@@ -37,6 +36,12 @@ _V_FLOOR = 5.0  # m/s; keeps the vectorized drag finite on absurd iterates
 _TF_UNIT = 10.0
 _FEAS_TOL = 1e-5   # on the scaled terminal residuals
 _RHO0 = 1e6
+# The penalty grows by this factor, up to this cap, after an outer iteration
+# that cut the infeasibility by less than a factor four.
+_RHO_GROWTH = 10.0
+_RHO_MAX = 1e12
+_MAX_OUTER = 8         # augmented-Lagrangian iterations
+_MAXITER_INNER = 150   # Gauss-Newton steps per outer iteration
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,6 @@ class DirectGrid:
 @dataclass(frozen=True)
 class DirectOptions:
     N: int = 400
-    max_outer: int = 8
-    maxiter_inner: int = 150
 
 
 @dataclass
@@ -151,7 +154,8 @@ def _suffix_products(a: np.ndarray) -> np.ndarray:
 
 
 class _DirectRollout:
-    """Decision vector [chi_0..chi_{N-1}, pi_0..pi_{N-1}, tf/Ts] -> (J, c)."""
+    """Decision vector [chi_0..chi_{N-1}, pi_0..pi_{N-1}, tf/Ts] -> (J, c),
+    inside the box `lower`..`upper` that every iterate is projected onto."""
 
     def __init__(self, ctx: CruiseContext, scn: Scenario, alpha: float, N: int):
         self.ctx = ctx
@@ -159,32 +163,28 @@ class _DirectRollout:
         self.alpha = alpha
         self.N = N
         self.x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
+        # tf >= 100 s, so every rollout has a positive step
+        self.lower = np.concatenate([
+            np.full(N, -math.pi), np.full(N, scn.pi_min), [10.0]])
+        self.upper = np.concatenate([
+            np.full(N, math.pi), np.full(N, scn.pi_max), [3000.0]])
 
     def split(self, u):
         n = self.N
         return u[:n], u[n:2 * n], u[2 * n] * _TF_UNIT
 
-    def cost_resid_from_final(self, final, tf):
+    def evaluate(self, u):
+        """(J, c, node states (N+1, 4)) at u."""
+        chi, pi, tf = self.split(u)
+        final, states = euler_rollout(self.ctx, self.x0, chi, pi, tf, self.N,
+                                      full_output=True)
         j = self.alpha * tf + (self.alpha - 1.0) * final[3]
         c = np.stack([
             (final[0] - self.scn.xf) / _POS,
             (final[1] - self.scn.yf) / _POS,
             (final[2] - self.scn.vf) / _SPD,
         ])
-        return j, c
-
-    def evaluate(self, u):
-        """(J, c, node states (N+1, 4)) at u, or None when tf <= 0."""
-        chi, pi, tf = self.split(u)
-        if tf <= 0.0:
-            return None
-        final, states = euler_rollout(self.ctx, self.x0, chi, pi, tf, self.N,
-                                      full_output=True)
-        return (*self.cost_resid_from_final(final, tf), states)
-
-    def __call__(self, u):
-        out = self.evaluate(u)
-        return None if out is None else out[:2]
+        return j, c, states
 
     def jacobian(self, u, states):
         """Exact terminal-state Jacobian d(x, y, v, m)_N / du, (4, 2N+1),
@@ -237,8 +237,9 @@ class _DirectRollout:
         return jac
 
 
-class _GaussNewtonInner:
-    """Damped Gauss-Newton minimizer of the penalized model.
+def _gauss_newton(ro: _DirectRollout, z, nu, rho: float):
+    """Damped Gauss-Newton minimizer of the penalized model
+    J + nu . c + (rho / 2) |c|^2 from z, projected onto the box.
 
     Cost and constraints depend on the decision variables only through the
     terminal state and tf, so the exact terminal-state Jacobian, one backward
@@ -246,62 +247,92 @@ class _GaussNewtonInner:
     gradient.  The Levenberg-Marquardt system (mu I + rho Jc' Jc) d = -g then
     reduces to a 3x3 solve by the push-through identity.  This is far more
     robust here than a generic quasi-Newton method, whose unit-norm first
-    steps explode whenever a single gradient component dominates.
+    steps explode whenever a single gradient component dominates.  Returns
+    (z, J, c, node states, evaluations) at the last accepted point.
     """
 
-    def __init__(self, rollout: _DirectRollout, lower, upper, maxiter: int):
-        self.rollout = rollout
-        self.lb = np.asarray(lower, dtype=float)
-        self.ub = np.asarray(upper, dtype=float)
-        self.maxiter = maxiter
+    def penalized(z):
+        j, c, states = ro.evaluate(z)
+        # a far-off trial overflows the model to inf or NaN, which the
+        # descent test rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return j + nu @ c + 0.5 * rho * (c @ c), j, c, states
 
-    def __call__(self, model, z0):
-        """Minimize the penalized `model` from z0 with the multipliers
-        `model.nu` and penalty `model.rho`; returns (z, evaluations)."""
-        nu, rho = model.nu, model.rho
-
-        def penalized(z):
-            out = self.rollout.evaluate(z)
-            if out is None:
-                return np.inf, None, None
-            j, c, states = out
-            return j + nu @ c + 0.5 * rho * (c @ c), c, states
-
-        alpha = self.rollout.alpha
-        z = np.clip(np.array(z0, dtype=float), self.lb, self.ub)
-        nfev = 0
-        mu = 1e3
-        m0, c, states = penalized(z)
+    alpha = ro.alpha
+    z = np.clip(np.array(z, dtype=float), ro.lower, ro.upper)
+    m0, j, c, states = penalized(z)
+    nfev = 1
+    mu = 1e3
+    for _ in range(_MAXITER_INNER):
+        jac_fin = ro.jacobian(z, states)
         nfev += 1
-        for _ in range(self.maxiter):
-            jac_fin = self.rollout.jacobian(z, states)
+        jc = jac_fin[:3] / np.array([_POS, _POS, _SPD])[:, None]
+        g = (alpha - 1.0) * jac_fin[3] + jc.T @ (nu + rho * c)
+        g[-1] += alpha * _TF_UNIT
+        moved = 0.0
+        accepted = False
+        for _ in range(12):
+            # (mu I + rho Jc'Jc)^-1 g via the 3x3 dual system
+            rhs = jc @ g
+            small = mu * np.eye(3) + rho * (jc @ jc.T)
+            zsol = np.linalg.solve(small, rhs)
+            step = -(g - rho * (jc.T @ zsol)) / mu
+            z_try = np.clip(z + step, ro.lower, ro.upper)
+            m_try, *trial = penalized(z_try)
             nfev += 1
-            jc = jac_fin[:3] / np.array([_POS, _POS, _SPD])[:, None]
-            g = (alpha - 1.0) * jac_fin[3] + jc.T @ (nu + rho * c)
-            g[-1] += alpha * _TF_UNIT
-            moved = 0.0
-            accepted = False
-            for _ in range(12):
-                # (mu I + rho Jc'Jc)^-1 g via the 3x3 dual system
-                rhs = jc @ g
-                small = mu * np.eye(3) + rho * (jc @ jc.T)
-                zsol = np.linalg.solve(small, rhs)
-                step = -(g - rho * (jc.T @ zsol)) / mu
-                z_try = np.clip(z + step, self.lb, self.ub)
-                m_try, c_try, states_try = penalized(z_try)
-                nfev += 1
-                if m_try < m0:
-                    moved = float(np.max(np.abs(z_try - z)))
-                    z, m0, c, states = z_try, m_try, c_try, states_try
-                    mu = max(mu / 3.0, 1e-2)
-                    accepted = True
-                    break
-                mu *= 4.0
-                if mu > 1e14:
-                    break
-            if not accepted or moved < 1e-12:
+            if m_try < m0:
+                moved = float(np.max(np.abs(z_try - z)))
+                z, m0, (j, c, states) = z_try, m_try, trial
+                mu = max(mu / 3.0, 1e-2)
+                accepted = True
                 break
-        return z, nfev
+            mu *= 4.0
+            if mu > 1e14:
+                break
+        if not accepted or moved < 1e-12:
+            break
+    return z, j, c, states, nfev
+
+
+def solve_augmented_lagrangian(ro: _DirectRollout, z) -> DirectSolution:
+    """Minimize J subject to the terminal conditions c = 0 by multiplier
+    iterations from z, each a Gauss-Newton minimization of the penalized
+    model from the last iterate.  Returns the first iterate within
+    `_FEAS_TOL`, else the least infeasible one, unconverged."""
+    nu = np.zeros(3)
+    rho = _RHO0
+    n_fev = 0
+    prev_feas = np.inf
+    best = None
+    for outer in range(1, _MAX_OUTER + 1):
+        z, j, c, states, fev = _gauss_newton(ro, z, nu, rho)
+        n_fev += fev
+        feas = float(np.max(np.abs(c)))
+        if best is None or feas < best[0]:
+            best = (feas, z, j, states)
+        if feas <= _FEAS_TOL:
+            break
+        nu = nu + rho * c
+        if feas > 0.25 * prev_feas:
+            rho = min(rho * _RHO_GROWTH, _RHO_MAX)
+        prev_feas = feas
+
+    feas, z, j, states = best
+    chi, pi, tf = ro.split(z)
+    scn, final = ro.scn, states[-1]
+    return DirectSolution(
+        scenario=scn,
+        alpha=ro.alpha,
+        grid=DirectGrid(N=ro.N, chi=chi.copy(), pi=pi.copy(), tf=float(tf)),
+        t=np.linspace(0.0, float(tf), ro.N + 1),
+        states=states,
+        cost=float(j),
+        residuals=np.array([
+            final[0] - scn.xf, final[1] - scn.yf, final[2] - scn.vf]),
+        converged=feas <= _FEAS_TOL,
+        n_fev=n_fev,
+        n_outer=outer,
+    )
 
 
 def solve_direct(scn: Scenario, options: DirectOptions | None = None,
@@ -311,9 +342,7 @@ def solve_direct(scn: Scenario, options: DirectOptions | None = None,
     solution's sampled controls."""
     options = options or DirectOptions()
     alpha = scn.alpha if alpha is None else alpha
-    ctx = make_context(scn)
     N = options.N
-    rollout = _DirectRollout(ctx, scn, alpha, N)
 
     if warm_start is not None:
         traj = warm_start.trajectory
@@ -337,34 +366,8 @@ def solve_direct(scn: Scenario, options: DirectOptions | None = None,
         chi0 = np.full(N, chi_geo)
         pi0 = np.full(N, 0.5 * (scn.pi_min + scn.pi_max))
     u0 = np.concatenate([chi0, pi0, [tf0 / _TF_UNIT]])
-
-    lower = np.concatenate([
-        np.full(N, -math.pi), np.full(N, scn.pi_min), [10.0]])
-    upper = np.concatenate([
-        np.full(N, math.pi), np.full(N, scn.pi_max), [3000.0]])
-    inner = _GaussNewtonInner(rollout, lower, upper, options.maxiter_inner)
-    res = solve_augmented_lagrangian(rollout, u0, 3, inner,
-                                     feas_tol=_FEAS_TOL,
-                                     max_outer=options.max_outer, rho0=_RHO0)
-
-    chi, pi, tf = rollout.split(res.z)
-    j, _, states = rollout.evaluate(res.z)
-    final = states[-1]
-    resid_phys = np.array([
-        final[0] - scn.xf, final[1] - scn.yf, final[2] - scn.vf,
-    ])
-    return DirectSolution(
-        scenario=scn,
-        alpha=alpha,
-        grid=DirectGrid(N=N, chi=chi.copy(), pi=pi.copy(), tf=float(tf)),
-        t=np.linspace(0.0, float(tf), N + 1),
-        states=states,
-        cost=float(j),
-        residuals=resid_phys,
-        converged=res.converged,
-        n_fev=res.n_fev,
-        n_outer=res.n_outer,
-    )
+    return solve_augmented_lagrangian(
+        _DirectRollout(make_context(scn), scn, alpha, N), u0)
 
 
 def chattering_metric(direct: DirectSolution, indirect) -> int:

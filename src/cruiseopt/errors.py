@@ -47,7 +47,7 @@ class DegenerateGeometryError(CruiseOptError):
 
 class IntegrationError(CruiseOptError):
     """Trajectory integration failed; carries the failing time and the last
-    finite state so callers can shape penalties."""
+    finite state, which say where the rollout broke down."""
 
     def __init__(self, t: float, msg: str, last_state=None):
         self.t = t

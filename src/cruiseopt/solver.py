@@ -27,7 +27,7 @@ from .integrate import (
     terminal_costate,
 )
 # unused here; the benchmark's tracer resolves the nlp.* spans through it
-from .nlp import solve_augmented_lagrangian  # noqa: F401
+from .direct import solve_augmented_lagrangian  # noqa: F401
 from .pmp import STATE_SCALES, TIME_SCALE
 from .scenario import Scenario, make_context
 from .wind import ConstantWind
@@ -77,41 +77,6 @@ def chi0_constant_wind(scn: Scenario, tf: float) -> float:
     return math.atan2(num, den)
 
 
-class _IndirectRollout:
-    """Decodes a scaled unknown vector into a schedule and scales the
-    terminal residuals of its rollout."""
-
-    def __init__(self, ctx: CruiseContext, scn: Scenario, alpha: float,
-                 steps: int, final_throttle: float | None = None):
-        self.ctx = ctx
-        self.scn = scn
-        self.alpha = alpha
-        self.steps = steps
-        self.final_throttle = final_throttle
-        self.constant_wind = isinstance(scn.wind, ConstantWind)
-
-    def decode(self, z) -> ArcSchedule | None:
-        if self.constant_wind:
-            t1, t2, tf = (zi * TIME_SCALE for zi in z)
-            if tf <= 0.0:
-                return None
-            chi0 = chi0_constant_wind(self.scn, tf)
-        else:
-            chi0 = z[0]
-            t1, t2, tf = (zi * TIME_SCALE for zi in z[1:])
-        if not 0.0 <= t1 <= t2 <= tf:
-            return None
-        return ArcSchedule(t1=t1, t2=t2, tf=tf, chi0=chi0,
-                           final_throttle=self.final_throttle)
-
-    def residuals(self, final_state) -> np.ndarray:
-        return np.array([
-            (final_state[0] - self.scn.xf) / _POS,
-            (final_state[1] - self.scn.yf) / _POS,
-            (final_state[2] - self.scn.vf) / _SPD,
-        ])
-
-
 _POLISH_FD = 1e-7
 _POLISH_MARGIN = 20.0 * _POLISH_FD
 _FEAS_TOL = 1e-8            # on the scaled terminal residuals
@@ -142,20 +107,44 @@ class _TerminalPolish:
     constant wind the heading is pinned by the endpoint geometry and tf,
     which makes the x and y residuals collinear: the fourth condition still
     supplies the missing along-track one.
+
+    One instance shoots at one resolution: it decodes the scaled unknowns
+    into schedules, counts the rollouts it spends in `n_fev`, and holds the
+    final-arc structure, which `run` may switch.
     """
 
-    def __init__(self, rollout: "_IndirectRollout", alpha: float):
-        self.rollout = rollout
+    def __init__(self, ctx: CruiseContext, scn: Scenario, alpha: float,
+                 steps: int, final_throttle: float | None = None):
+        self.ctx = ctx
+        self.scn = scn
         self.alpha = alpha
-        scn = rollout.scn
+        self.steps = steps          # RK4 steps per arc
+        self.final_throttle = final_throttle
+        self.constant_wind = isinstance(scn.wind, ConstantWind)
         self.x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
-        self.n_fev = 0      # rollouts spent
+        self.n_fev = 0              # rollouts spent
+
+    def decode(self, z) -> ArcSchedule | None:
+        """The schedule of a scaled unknown vector; None when its times
+        are out of order."""
+        if self.constant_wind:
+            t1, t2, tf = (zi * TIME_SCALE for zi in z)
+            if tf <= 0.0:
+                return None
+            chi0 = chi0_constant_wind(self.scn, tf)
+        else:
+            chi0 = z[0]
+            t1, t2, tf = (zi * TIME_SCALE for zi in z[1:])
+        if not 0.0 <= t1 <= t2 <= tf:
+            return None
+        return ArcSchedule(t1=t1, t2=t2, tf=tf, chi0=chi0,
+                           final_throttle=self.final_throttle)
 
     def _nudge(self, z: np.ndarray) -> np.ndarray:
         """Pull switch times strictly inside the ordering constraints so
         central differences never leave the schedule domain."""
         z = np.array(z, dtype=float)
-        it = 0 if self.rollout.constant_wind else 1
+        it = 0 if self.constant_wind else 1
         t1, t2, tf = z[it], z[it + 1], z[it + 2]
         t1 = max(t1, _POLISH_MARGIN)
         tf = max(tf, 3.0 * _POLISH_MARGIN)
@@ -167,28 +156,29 @@ class _TerminalPolish:
     def residual(self, z, square: bool) -> np.ndarray | None:
         """The scaled terminal residuals and, when `square`, the fourth
         condition; None when the schedule or its rollout fails."""
-        ro = self.rollout
-        sched = ro.decode(z)
+        sched = self.decode(z)
         if sched is None:
             return None
-        scn = ro.scn
+        scn = self.scn
         self.n_fev += 1
         try:
-            traj = integrate_arcs(ro.ctx, sched, self.x0, self.alpha,
+            traj = integrate_arcs(self.ctx, sched, self.x0, self.alpha,
                                   scn.pi_min, scn.pi_max,
-                                  steps_per_arc=ro.steps)
-            r = ro.residuals(traj.final_state)
+                                  steps_per_arc=self.steps)
+            fin = traj.final_state
+            r = np.array([(fin[0] - scn.xf) / _POS, (fin[1] - scn.yf) / _POS,
+                          (fin[2] - scn.vf) / _SPD])
             if not square:
                 return r
             if self.alpha >= _ALPHA_COLLAPSED:
-                it = 0 if ro.constant_wind else 1
+                it = 0 if self.constant_wind else 1
                 return np.append(r, z[it + 1] - z[it] - _POLISH_MARGIN)
             # Endpoint condition in the alpha-invariant normalized co-state
             # mu = lam / alpha (reconstructed with unit weight):
             # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
             # which stays order one for every alpha and turns into the
             # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
-            mu_m = terminal_costate(ro.ctx, traj, sched, 1.0,
+            mu_m = terminal_costate(self.ctx, traj, sched, 1.0,
                                     scn.pi_min)[3]
         except CruiseOptError:
             return None
@@ -248,7 +238,7 @@ class _TerminalPolish:
     def run(self, z0) -> tuple[np.ndarray, bool]:
         """Solve from z0; returns (z, whether the system closed).
 
-        If the system does not close with the rollout's final-arc
+        If the system does not close with the current final-arc
         structure, the solve retries with the other one (idle or max
         throttle), seeded with a short last arc, and keeps that structure
         only when the system then closes.  A collapsing idle final arc
@@ -258,16 +248,15 @@ class _TerminalPolish:
         z, ok = self._run_structure(z0)
         if ok:
             return z, True
-        orig = self.rollout.final_throttle
-        self.rollout.final_throttle = (
-            self.rollout.scn.pi_max if orig is None else None)
-        it = 0 if self.rollout.constant_wind else 1
+        orig = self.final_throttle
+        self.final_throttle = self.scn.pi_max if orig is None else None
+        it = 0 if self.constant_wind else 1
         z_seed = z.copy()
         z_seed[it + 1] = z_seed[it + 2] - 2e-3  # seed a short last arc
         z2, ok = self._run_structure(z_seed)
         if ok:
             return z2, True
-        self.rollout.final_throttle = orig
+        self.final_throttle = orig
         return z, False
 
     def _run_structure(self, z0) -> tuple[np.ndarray, bool]:
@@ -292,7 +281,7 @@ def _closed(r: np.ndarray) -> bool:
                 and (len(r) == 3 or abs(r[3]) <= _COSTATE_TOL))
 
 
-def _start_grid(scn: Scenario, alpha: float, options: SolverOptions,
+def _start_grid(scn: Scenario, options: SolverOptions,
                 constant_wind: bool) -> list[np.ndarray]:
     """Deterministic seeded start grid.
 
@@ -342,7 +331,7 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     constant_wind = isinstance(scn.wind, ConstantWind)
     attempts = [(i, z, None, (options.nlp_steps, options.steps))
                 for i, z in enumerate(
-                    _start_grid(scn, alpha, options, constant_wind))]
+                    _start_grid(scn, options, constant_wind))]
     if warm_start is not None:
         times = np.array([warm_start.t1, warm_start.t2, warm_start.tf])
         times /= TIME_SCALE
@@ -353,17 +342,16 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     tried = []
     for idx, z, final_throttle, resolutions in attempts:
         for steps in resolutions:
-            rollout = _IndirectRollout(ctx, scn, alpha, steps, final_throttle)
-            shooting = _TerminalPolish(rollout, alpha)
+            shooting = _TerminalPolish(ctx, scn, alpha, steps, final_throttle)
             z, closed = shooting.run(z)
             n_fev += shooting.n_fev
-            final_throttle = rollout.final_throttle
+            final_throttle = shooting.final_throttle
             if not closed:
                 break
         if closed:
-            return _solution(scn, rollout.decode(z), alpha, options, True,
+            return _solution(scn, shooting.decode(z), alpha, options, True,
                              n_fev, idx)
-        tried.append((idx, rollout.decode(z)))
+        tried.append((idx, shooting.decode(z)))
     # no start closed: the feasible result of lowest cost, else the least
     # infeasible one, among those that realize
     sols = []

@@ -22,7 +22,7 @@ from cruiseopt.errors import CruiseOptError, IntegrationError, ValidationError
 from cruiseopt.integrate import ArcSchedule, Trajectory
 from cruiseopt.integrate import reconstruct_costates as lib_reconstruct
 from cruiseopt.integrate import integrate_arcs as lib_integrate
-from cruiseopt.pmp import (costate_rhs, evaluate_feedback,
+from cruiseopt.pmp import (STATE_SCALES, costate_rhs, evaluate_feedback,
                            solve_costates_on_singular)
 
 
@@ -161,17 +161,20 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
 def endgame_residual(polish, z, with_costate: bool):
     """`_TerminalPolish.residual` with the co-state from the library's full
     `reconstruct_costates`."""
-    ro = polish.rollout
-    sched = ro.decode(z)
+    sched = polish.decode(z)
     if sched is None:
         return None
-    scn = ro.scn
+    scn = polish.scn
     try:
-        traj = lib_integrate(ro.ctx, sched, polish.x0, polish.alpha,
-                             scn.pi_min, scn.pi_max, steps_per_arc=ro.steps)
-        r = ro.residuals(traj.final_state)
+        traj = lib_integrate(polish.ctx, sched, polish.x0, polish.alpha,
+                             scn.pi_min, scn.pi_max,
+                             steps_per_arc=polish.steps)
+        fin = traj.final_state
+        r = np.array([(fin[0] - scn.xf) / STATE_SCALES[0],
+                      (fin[1] - scn.yf) / STATE_SCALES[0],
+                      (fin[2] - scn.vf) / STATE_SCALES[2]])
         if with_costate:
-            traj = lib_reconstruct(ro.ctx, traj, sched, 1.0, scn.pi_min,
+            traj = lib_reconstruct(polish.ctx, traj, sched, 1.0, scn.pi_min,
                                    scn.pi_max)
             mu_m = traj.costates[-1, 3]
             if not np.isfinite(mu_m) or mu_m == 0.0:

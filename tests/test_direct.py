@@ -167,9 +167,15 @@ def _rollout_and_states(scn, chi, pi, tf_units):
 
 def _row_gap(rollout, z, states):
     """Worst |exact - central difference| per terminal-state row, relative
-    to that row's max-abs."""
+    to that row's max-abs.  The central differences are Richardson
+    extrapolated from steps 2h and h, which cancels their O(h^2) error:
+    close to a stall the Euler map curves enough for that error alone to
+    pass 1e-6 of a row's max.  A step below h would instead let rounding
+    in the terminal mass, ~6e4 kg, pass it on the mass row."""
     exact = rollout.jacobian(z, states)
-    fd = direct_oracle.sweep(rollout, z)
+    h = direct_oracle._FD_STEP
+    fd = (4.0 * direct_oracle.sweep(rollout, z, h)
+          - direct_oracle.sweep(rollout, z, 2.0 * h)) / 3.0
     return np.max(np.abs(exact - fd), axis=1) / np.max(np.abs(fd), axis=1)
 
 
@@ -254,8 +260,9 @@ def test_solve_direct_rolls_out_one_column_at_a_time(monkeypatch):
         return euler_rollout(ctx, x0, chi, pi, tf, n_steps, full_output)
 
     monkeypatch.setattr(direct, "euler_rollout", counting_rollout)
-    solve_direct(SCN, DirectOptions(N=30, max_outer=1, maxiter_inner=5),
-                 alpha=0.4)
+    monkeypatch.setattr(direct, "_MAX_OUTER", 1)
+    monkeypatch.setattr(direct, "_MAXITER_INNER", 5)
+    solve_direct(SCN, DirectOptions(N=30), alpha=0.4)
     assert widths
     assert all(w == () for w in widths)
 
@@ -303,14 +310,69 @@ def test_direct_cost_converges_to_indirect_cost(direct_04, sol_04):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_cold_inner_loop_reduces_infeasibility():
+def test_cold_inner_loop_reduces_infeasibility(monkeypatch):
     # a short cheap run from the built-in initial guess must make progress;
     # early cold iterates can wander far enough for the polynomial wind to
     # overflow, which the rollout grades as failure and recovers from
     # without a warning
-    opts = DirectOptions(N=60, max_outer=2, maxiter_inner=40)
-    dsol = solve_direct(SCN, opts, alpha=0.4)
+    monkeypatch.setattr(direct, "_MAX_OUTER", 2)
+    monkeypatch.setattr(direct, "_MAXITER_INNER", 40)
+    dsol = solve_direct(SCN, DirectOptions(N=60), alpha=0.4)
     start_resid = np.array([SCN.x0 - SCN.xf, SCN.y0 - SCN.yf, 0.0])
     assert np.max(np.abs(dsol.residuals)) < 0.1 * np.max(np.abs(start_resid))
     assert dsol.n_fev > 0
     assert dsol.n_outer == 2 or dsol.converged
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cold_solve_rejects_overflowing_trials_silently(monkeypatch):
+    # a cold trial step flies far enough for the polynomial wind to throw
+    # the terminal residuals past 1e200, so the penalized model overflows;
+    # the descent test must reject that trial without a warning
+    worst = []
+
+    def spying_rollout(*args, **kwargs):
+        out = euler_rollout(*args, **kwargs)
+        worst.append(np.max(np.abs(out[0])))
+        return out
+
+    monkeypatch.setattr(direct, "euler_rollout", spying_rollout)
+    dsol = solve_direct(SCN, DirectOptions(N=100), alpha=0.4)
+    assert max(worst) > 1e200
+    assert dsol.converged
+
+
+@pytest.mark.parametrize("start, N, max_outer, maxiter_inner", [
+    ("cold", 30, 1, 5), ("cold", 60, 2, 40), ("warm", 100, 8, 150)])
+def test_solve_matches_generic_al_oracle(monkeypatch, request, start, N,
+                                         max_outer, maxiter_inner):
+    """The specialised multiplier loop gives the bits of the generic one
+    in `direct_oracle` driving the same Gauss-Newton inner loop."""
+    monkeypatch.setattr(direct, "_MAX_OUTER", max_outer)
+    monkeypatch.setattr(direct, "_MAXITER_INNER", maxiter_inner)
+    warm = request.getfixturevalue("sol_04") if start == "warm" else None
+    calls = []
+    loop = direct.solve_augmented_lagrangian
+    monkeypatch.setattr(direct, "solve_augmented_lagrangian",
+                        lambda ro, z0: calls.append((ro, z0)) or loop(ro, z0))
+    got = solve_direct(SCN, DirectOptions(N=N), alpha=0.4, warm_start=warm)
+    (ro, z0), = calls
+
+    def inner(model, z):
+        z, *_, fev = direct._gauss_newton(ro, z, model.nu, model.rho)
+        return z, fev
+
+    res = direct_oracle.solve_augmented_lagrangian(
+        lambda z: ro.evaluate(z)[:2], z0, 3, inner,
+        feas_tol=direct._FEAS_TOL, max_outer=max_outer, rho0=direct._RHO0)
+    j, _, states = ro.evaluate(res.z)
+    chi, pi, tf = ro.split(res.z)
+    assert np.array_equal(got.grid.chi, chi)
+    assert np.array_equal(got.grid.pi, pi)
+    assert got.grid.tf == tf
+    assert np.array_equal(got.states, states)
+    assert got.cost == j
+    assert np.array_equal(got.residuals,
+                          states[-1, :3] - np.array([SCN.xf, SCN.yf, SCN.vf]))
+    assert (got.converged, got.n_fev, got.n_outer) == (
+        res.converged, res.n_fev, res.n_outer)

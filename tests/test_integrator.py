@@ -21,7 +21,7 @@ from cruiseopt.pmp import TIME_SCALE, solve_costates_on_singular
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 make_context)
-from cruiseopt.solver import _IndirectRollout, _TerminalPolish
+from cruiseopt.solver import _TerminalPolish
 
 SCN = load_scenario(default_scenario_path())
 CTX = make_context(SCN)
@@ -342,9 +342,8 @@ def _decision(sched, constant_wind=False):
 def test_endgame_residual_matches_full_reconstruction(tag):
     wind, alpha, sched = COMMITTED[tag]
     scn = SCENARIOS[wind]
-    rollout = _IndirectRollout(make_context(scn), scn, alpha, 40,
-                               final_throttle=sched.final_throttle)
-    polish = _TerminalPolish(rollout, alpha)
+    polish = _TerminalPolish(make_context(scn), scn, alpha, 40,
+                             final_throttle=sched.final_throttle)
     z0 = _decision(sched, wind == "constant")
     rng = np.random.default_rng(11)
     for k in range(6):
@@ -369,9 +368,8 @@ def test_endgame_residual_failures_match_full_reconstruction():
         integrate_arcs(CTX, stall, X0, alpha, SCN.pi_min, SCN.pi_max,
                        steps_per_arc=40)
     for s in (degenerate, stall):
-        rollout = _IndirectRollout(CTX, SCN, alpha, 40,
-                                   final_throttle=s.final_throttle)
-        polish = _TerminalPolish(rollout, alpha)
+        polish = _TerminalPolish(CTX, SCN, alpha, 40,
+                                 final_throttle=s.final_throttle)
         assert polish.residual(_decision(s), True) is None
         assert integrate_oracle.endgame_residual(
             polish, _decision(s), True) is None
@@ -382,7 +380,7 @@ def test_endgame_residual_skips_the_first_arc_sweep():
     wind = CountingWind(SCN.wind)
     ctx.wind = wind
     sched = COMMITTED["0.4"][2]
-    polish = _TerminalPolish(_IndirectRollout(ctx, SCN, 0.4, 20), 0.4)
+    polish = _TerminalPolish(ctx, SCN, 0.4, 20)
     polish.residual(_decision(sched), True)
     # the rollout (240 stages), one co-state solve per singular sample and
     # at the t1 junction (21), the forward sweep over the last arc (80);

@@ -1,7 +1,9 @@
-"""What the package exposes to code outside it: its import footprint and
-the names the benchmark's tracer wraps."""
+"""What the package exposes to code outside it: its import footprint, its
+declared dependencies and the names the benchmark's tracer wraps."""
 
+import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 
 import cruiseopt
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -32,3 +35,34 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     for module, attr, _ in TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (
             f"{module}.{attr}")
+
+
+def _third_party_imports(directory: Path) -> set[str]:
+    """Top-level names imported under `directory` that are neither in the
+    standard library nor modules of this checkout."""
+    local = {"cruiseopt"} | {p.stem for p in ROOT.glob("*/*.py")}
+    names = set()
+    for path in directory.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - local
+
+
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+
+    runtime = names(project["dependencies"])
+    test = names(project["optional-dependencies"]["test"])
+    used_src = _third_party_imports(ROOT / "src")
+    used_tests = _third_party_imports(ROOT / "tests")
+    assert used_src <= runtime
+    assert used_tests <= runtime | test
+    assert runtime | test <= used_src | used_tests

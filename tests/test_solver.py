@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cruiseopt.cli import write_solution_dir
 from cruiseopt import solver
@@ -12,8 +14,8 @@ from cruiseopt.errors import DegenerateGeometryError
 from cruiseopt.integrate import ArcSchedule, integrate_arcs
 from cruiseopt.pmp import TIME_SCALE
 from cruiseopt.scenario import Scenario
-from cruiseopt.solver import (SolverOptions, _IndirectRollout, _start_grid,
-                              _TerminalPolish, chi0_constant_wind,
+from cruiseopt.solver import (SolverOptions, _start_grid, _TerminalPolish,
+                              chi0_constant_wind,
                               realize_solution, solve_indirect, sweep_alpha,
                               verify_solution)
 from cruiseopt.wind import ConstantWind
@@ -58,25 +60,25 @@ class TestConstantWindHeading:
 class TestStartGrid:
     def test_deterministic_for_fixed_seed(self, scenario):
         opts = SolverOptions(seed=7)
-        g1 = _start_grid(scenario, 0.4, opts, constant_wind=False)
-        g2 = _start_grid(scenario, 0.4, opts, constant_wind=False)
+        g1 = _start_grid(scenario, opts, constant_wind=False)
+        g2 = _start_grid(scenario, opts, constant_wind=False)
         assert len(g1) == opts.n_starts
         for a, b in zip(g1, g2):
             assert np.array_equal(a, b)
 
     def test_seed_changes_ordering(self, scenario):
-        g1 = _start_grid(scenario, 0.4, SolverOptions(seed=0), False)
-        g2 = _start_grid(scenario, 0.4, SolverOptions(seed=1), False)
+        g1 = _start_grid(scenario, SolverOptions(seed=0), False)
+        g2 = _start_grid(scenario, SolverOptions(seed=1), False)
         assert any(not np.array_equal(a, b) for a, b in zip(g1, g2))
 
     def test_constant_wind_drops_heading_variable(self, scenario_cw):
-        g = _start_grid(scenario_cw, 0.4, SolverOptions(), constant_wind=True)
+        g = _start_grid(scenario_cw, SolverOptions(), constant_wind=True)
         assert all(len(z) == 3 for z in g)
 
 
 class TestRolloutDecode:
     def test_round_trip(self, context, scenario):
-        ro = _IndirectRollout(context, scenario, 0.4, 50)
+        ro = _TerminalPolish(context, scenario, 0.4, 50)
         z = np.array([0.7, 0.05, 6.0, 6.1])
         sched = ro.decode(z)
         assert sched.chi0 == 0.7
@@ -95,34 +97,56 @@ def test_verify_report_round_trip(sol_04):
     assert "PASS" in text and "FAIL" not in text
 
 
-def _due_north(scn, sched):
+def _rotated(scn, sched, bearing):
     """The constant-wind problem rotated about its origin so that the
-    heading of `sched` points due north; rotation leaves the optimal
-    schedule unchanged.  The endpoint's east coordinate is set to the
-    wind's drift exactly, so the pinned heading is exactly pi/2."""
-    rot = math.pi / 2 - sched.chi0
+    heading of `sched` points at `bearing`; rotation leaves the optimal
+    schedule unchanged.  The endpoint is the rotated wind drift plus the
+    still-air leg along the bearing, so the pinned heading is the bearing
+    to rounding."""
+    tf = sched.tf
+    rot = bearing - sched.chi0
     c, s = math.cos(rot), math.sin(rot)
     wx = c * scn.wind.W_x - s * scn.wind.W_y
     wy = s * scn.wind.W_x + c * scn.wind.W_y
-    north = Scenario(
-        0.0, 0.0, wx * sched.tf, s * scn.xf + c * scn.yf, scn.v0, scn.vf,
-        scn.m0, scn.h, scn.alpha, scn.pi_min, scn.pi_max,
-        ConstantWind(wx, wy), scn.aircraft, scn.aircraft_file)
-    return north, replace(sched, chi0=chi0_constant_wind(north, sched.tf))
+    leg = math.hypot(scn.xf - scn.wind.W_x * tf, scn.yf - scn.wind.W_y * tf)
+    rotated = Scenario(
+        0.0, 0.0, wx * tf + leg * math.cos(bearing),
+        wy * tf + leg * math.sin(bearing), scn.v0, scn.vf, scn.m0, scn.h,
+        scn.alpha, scn.pi_min, scn.pi_max, ConstantWind(wx, wy),
+        scn.aircraft, scn.aircraft_file)
+    return rotated, replace(sched, chi0=chi0_constant_wind(rotated, tf))
+
+
+def _verify_route(sol_cw, bearing):
+    """Realize and verify `sol_cw` rotated to `bearing`; returns the
+    pinned heading."""
+    assert sol_cw.scenario.x0 == sol_cw.scenario.y0 == 0.0
+    scn, sched = _rotated(sol_cw.scenario, sol_cw.schedule, bearing)
+    assert abs(sched.chi0 - bearing) <= 1e-15
+    sol = realize_solution(scn, sched, alpha=sol_cw.alpha, steps=200)
+    assert np.all(sol.trajectory.states[:, 4] == sched.chi0)
+    assert np.max(np.abs(sol.residuals)) < 1.0
+    rep = verify_solution(sol)
+    assert rep.all_passed, rep.summary()
+    assert rep.by_name("heading_costate_consistency").extreme <= 1e-6
+    return sched.chi0
 
 
 def test_due_north_route_verifies(sol_cw):
     # chi = pi/2 is a pole of tan(chi); the heading/co-state check must
     # measure alignment without it
-    assert sol_cw.scenario.x0 == sol_cw.scenario.y0 == 0.0
-    north, sched = _due_north(sol_cw.scenario, sol_cw.schedule)
-    assert sched.chi0 == math.pi / 2
-    sol = realize_solution(north, sched, alpha=sol_cw.alpha, steps=200)
-    assert np.all(sol.trajectory.states[:, 4] == math.pi / 2)
-    assert np.max(np.abs(sol.residuals)) < 1.0
-    rep = verify_solution(sol)
-    assert rep.all_passed, rep.summary()
-    assert rep.by_name("heading_costate_consistency").extreme <= 1e-6
+    assert _verify_route(sol_cw, math.pi / 2) == math.pi / 2
+
+
+@given(st.floats(-math.pi, math.pi))
+@example(math.pi / 2)
+@example(-math.pi / 2)
+@example(math.pi)
+@example(-math.pi)
+@example(0.0)
+@settings(max_examples=50, deadline=None)
+def test_every_route_bearing_verifies(sol_cw, bearing):
+    _verify_route(sol_cw, bearing)
 
 
 def test_cold_solve_reports_endgame_optimality(monkeypatch, tmp_path,
