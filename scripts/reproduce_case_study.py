@@ -26,14 +26,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/case_study")
     ap.add_argument("--fast", action="store_true",
-                    help="smaller multistart and coarser grids")
+                    help="coarser integration and transcription grids")
     args = ap.parse_args()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     scn = load_scenario(default_scenario_path())
     if args.fast:
-        opts = SolverOptions(n_starts=3, nlp_steps=60, steps=200)
+        opts = SolverOptions(steps=200)
         dopts = DirectOptions(N=200)
     else:
         opts = SolverOptions()

@@ -130,7 +130,7 @@ def calibrated_airspeed(atm: Atmosphere, v: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Per-bound monitor flags and margins; violations are never enforced."""
+    """Per-bound monitor flags; violations are never enforced."""
 
     mach: float
     cas: float
@@ -138,10 +138,6 @@ class EnvelopeReport:
     mach_high_ok: bool
     cas_low_ok: bool
     cas_high_ok: bool
-    mach_low_margin: float
-    mach_high_margin: float
-    cas_low_margin: float
-    cas_high_margin: float
 
     @property
     def ok(self) -> bool:
@@ -164,8 +160,4 @@ def check_envelope(
         mach_high_ok=mach <= model.M_max,
         cas_low_ok=cas >= model.v_CAS_min,
         cas_high_ok=cas <= model.v_CAS_max,
-        mach_low_margin=mach - model.M_min,
-        mach_high_margin=model.M_max - mach,
-        cas_low_margin=cas - model.v_CAS_min,
-        cas_high_margin=model.v_CAS_max - cas,
     )

@@ -2,8 +2,8 @@
 
 All artifacts are plain JSON/CSV written into a per-run output directory so
 results can be plotted or diffed with standard tools.  Every command is
-deterministic for a fixed scenario and seed; CSV numbers are emitted in full
-double precision so reruns are byte-identical.
+deterministic for a fixed scenario; CSV numbers are emitted in full double
+precision so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -83,15 +83,11 @@ def write_solution_dir(sol: Solution, outdir, steps: int) -> None:
     with open(outdir / "aircraft.json", "w") as fh:
         json.dump(asdict(sol.scenario.aircraft), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    scn_local = Scenario(
-        sol.scenario.x0, sol.scenario.y0, sol.scenario.xf, sol.scenario.yf,
-        sol.scenario.v0, sol.scenario.vf, sol.scenario.m0, sol.scenario.h,
-        sol.alpha, sol.scenario.pi_min, sol.scenario.pi_max,
-        sol.scenario.wind, sol.scenario.aircraft, "aircraft.json")
+    scn_local = replace(sol.scenario, alpha=sol.alpha,
+                        aircraft_file="aircraft.json")
     save_scenario(scn_local, outdir / "scenario.json")
     doc = {
         "alpha": sol.alpha,
-        "seed": sol.seed,
         "steps": steps,
         "cost": sol.cost,
         "converged": sol.converged,
@@ -130,12 +126,9 @@ def _load_and_override(args) -> Scenario:
 
 
 def _indirect_options(args) -> SolverOptions:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        overrides["steps"] = args.steps
-    return replace(SolverOptions(), **overrides)
+    if args.steps is None:
+        return SolverOptions()
+    return SolverOptions(steps=args.steps)
 
 
 def _cmd_solve_indirect(args) -> int:
@@ -293,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario JSON file (default: shipped scenario)")
         sp.add_argument("--alpha", type=float, default=None,
                         help="override the scenario's cost weight")
-        sp.add_argument("--seed", type=int, default=None)
         if out_required:
             sp.add_argument("--out", required=True,
                             help="output directory for run artifacts")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -60,9 +60,7 @@ class Scenario:
                 raise ValidationError(f"{name} must be finite")
 
     def replace_alpha(self, alpha: float) -> "Scenario":
-        return Scenario(self.x0, self.y0, self.xf, self.yf, self.v0, self.vf,
-                        self.m0, self.h, alpha, self.pi_min, self.pi_max,
-                        self.wind, self.aircraft, self.aircraft_file)
+        return replace(self, alpha=alpha)
 
     def great_circle_distance(self) -> float:
         return math.hypot(self.xf - self.x0, self.yf - self.y0)

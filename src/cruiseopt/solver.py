@@ -3,10 +3,10 @@
 The throttle structure is fixed to max / singular / bang; the heading follows
 the navigation ODE from chi0.  The unknowns close a square system: the
 scaled terminal position and speed plus the endpoint condition on the mass
-co-state, solved by a Levenberg-Marquardt shooting method from a
-deterministic seeded set of starts.  For a constant wind field the initial
-heading drops out of the unknowns: it is pinned by the endpoint geometry and
-the final time.
+co-state, solved by a Levenberg-Marquardt shooting method from a fixed grid
+of starts, tried in order until one closes.  For a constant wind field the
+initial heading drops out of the unknowns: it is pinned by the endpoint
+geometry and the final time.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ _SPD = STATE_SCALES[2]
 
 @dataclass(frozen=True)
 class SolverOptions:
-    n_starts: int = 8
-    seed: int = 0
-    nlp_steps: int = 120       # RK4 steps per arc for the coarse solve
     steps: int = 400           # RK4 steps per arc for the returned trajectory
 
 
@@ -55,7 +52,6 @@ class Solution:
     converged: bool
     n_fev: int                 # rollouts spent by the solve
     start_index: int
-    seed: int
     clamp_count: int
     verification: "VerificationReport | None" = None
 
@@ -92,6 +88,9 @@ _ALPHA_ASYMPTOTIC = 1e-4
 # equation closes from no start; the fourth condition pins the singular arc
 # shut instead, which leaves max / bang switching.
 _ALPHA_COLLAPSED = 0.9
+# RK4 steps per arc of the coarse solve from a grid start, capped by the
+# final resolution: it only has to land the fine solve in its basin.
+_SEARCH_STEPS = 20
 
 
 class _TerminalPolish:
@@ -240,7 +239,7 @@ class _TerminalPolish:
 
         If the system does not close with the current final-arc
         structure, the solve retries with the other one (idle or max
-        throttle), seeded with a short last arc, and keeps that structure
+        throttle), started from a short last arc, and keeps that structure
         only when the system then closes.  A collapsing idle final arc
         means the terminal speed target sits above the singular-arc speed
         and the last arc must accelerate.
@@ -251,9 +250,9 @@ class _TerminalPolish:
         orig = self.final_throttle
         self.final_throttle = self.scn.pi_max if orig is None else None
         it = 0 if self.constant_wind else 1
-        z_seed = z.copy()
-        z_seed[it + 1] = z_seed[it + 2] - 2e-3  # seed a short last arc
-        z2, ok = self._run_structure(z_seed)
+        z_short = z.copy()
+        z_short[it + 1] = z_short[it + 2] - 2e-3  # a short last arc
+        z2, ok = self._run_structure(z_short)
         if ok:
             return z2, True
         self.final_throttle = orig
@@ -281,9 +280,9 @@ def _closed(r: np.ndarray) -> bool:
                 and (len(r) == 3 or abs(r[3]) <= _COSTATE_TOL))
 
 
-def _start_grid(scn: Scenario, options: SolverOptions,
-                constant_wind: bool) -> list[np.ndarray]:
-    """Deterministic seeded start grid.
+def _start_grid(scn: Scenario, constant_wind: bool) -> list[np.ndarray]:
+    """The start grid in the fixed order the solve tries it: 18 starts, or
+    6 under constant wind, where the heading is pinned.
 
     Final-time guesses scale the still-air great-circle time; the bang arcs
     start short because the idle deceleration arc stalls the aircraft if it
@@ -291,47 +290,45 @@ def _start_grid(scn: Scenario, options: SolverOptions,
     """
     tf_base = scn.great_circle_distance() / scn.v0
     chi_base = math.atan2(scn.yf - scn.y0, scn.xf - scn.x0)
-    combos = []
+    starts = []
     for ftf in (0.9, 1.0, 1.1):
         tf = tf_base * ftf
         for f1, f2 in ((0.02, 0.97), (0.06, 0.99)):
             times = (f1 * tf / TIME_SCALE, f2 * tf / TIME_SCALE,
                      tf / TIME_SCALE)
             if constant_wind:
-                combos.append(np.array(times))
+                starts.append(np.array(times))
             else:
-                for dchi in (-0.2, 0.0, 0.2):
-                    combos.append(np.array([chi_base + dchi, *times]))
-    rng = np.random.default_rng(options.seed)
-    order = rng.permutation(len(combos))
-    picked = [combos[i] for i in order[: options.n_starts]]
-    if len(picked) < options.n_starts:
-        picked.extend(combos[: options.n_starts - len(picked)])
-    return picked
+                for dchi in (0.2, 0.0, -0.2):
+                    starts.append(np.array([chi_base + dchi, *times]))
+    return starts
 
 
 def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
-                   alpha: float | None = None,
                    warm_start: "ArcSchedule | None" = None) -> Solution:
-    """Solve the switching-point system and return the first start that
-    closes it.
+    """Solve the switching-point system at the scenario's cost weight and
+    return the first start that closes it.
 
-    Each start of the seeded grid is solved at `options.nlp_steps` RK4
-    steps per arc, then, if that closes, again at `options.steps` from the
-    result; the first start that closes the system at `options.steps` wins
-    and is recorded as `start_index`.  A warm-start schedule (e.g. from a
-    neighboring cost weight in a sweep) is tried first, at `options.steps`
-    only, and is recorded as start -1.  When no start closes, the feasible
-    result of lowest cost is returned with `converged=False` (the least
-    infeasible one when none is feasible).
+    The starts of the grid are tried in order.  Each is solved at
+    `_SEARCH_STEPS` RK4 steps per arc (at most `options.steps`), then, if
+    that closes, again at `options.steps` from the result; the first start
+    that closes the system at `options.steps` wins and is recorded as
+    `start_index`.  A warm-start schedule (e.g. from a neighboring cost
+    weight in a sweep) is tried first, at `options.steps` only, and is
+    recorded as start -1.  When no start closes, the feasible result of
+    lowest cost is returned with `converged=False` (the least infeasible
+    one when none is feasible).
+
+    Below `_ALPHA_ASYMPTOTIC` the endpoint co-state equation is driven only
+    best-effort, so `converged` then means only that the terminal
+    conditions closed: the schedule is feasible, not certified optimal.
     """
     options = options or SolverOptions()
-    alpha = scn.alpha if alpha is None else alpha
     ctx = make_context(scn)
     constant_wind = isinstance(scn.wind, ConstantWind)
-    attempts = [(i, z, None, (options.nlp_steps, options.steps))
-                for i, z in enumerate(
-                    _start_grid(scn, options, constant_wind))]
+    coarse_then_fine = (min(_SEARCH_STEPS, options.steps), options.steps)
+    attempts = [(i, z, None, coarse_then_fine)
+                for i, z in enumerate(_start_grid(scn, constant_wind))]
     if warm_start is not None:
         times = np.array([warm_start.t1, warm_start.t2, warm_start.tf])
         times /= TIME_SCALE
@@ -342,23 +339,23 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     tried = []
     for idx, z, final_throttle, resolutions in attempts:
         for steps in resolutions:
-            shooting = _TerminalPolish(ctx, scn, alpha, steps, final_throttle)
+            shooting = _TerminalPolish(ctx, scn, scn.alpha, steps,
+                                       final_throttle)
             z, closed = shooting.run(z)
             n_fev += shooting.n_fev
             final_throttle = shooting.final_throttle
             if not closed:
                 break
         if closed:
-            return _solution(scn, shooting.decode(z), alpha, options, True,
-                             n_fev, idx)
+            return _solution(scn, shooting.decode(z), options, True, n_fev,
+                             idx)
         tried.append((idx, shooting.decode(z)))
     # no start closed: the feasible result of lowest cost, else the least
     # infeasible one, among those that realize
     sols = []
     for idx, sched in tried:
         try:
-            sols.append(_solution(scn, sched, alpha, options, False, n_fev,
-                                  idx))
+            sols.append(_solution(scn, sched, options, False, n_fev, idx))
         except CruiseOptError as exc:
             error = exc
     if not sols:
@@ -372,12 +369,11 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     return min(sols, key=rank)
 
 
-def _solution(scn, sched, alpha, options, converged, n_fev, start_index):
-    sol = realize_solution(scn, sched, alpha=alpha, steps=options.steps)
+def _solution(scn, sched, options, converged, n_fev, start_index):
+    sol = realize_solution(scn, sched, steps=options.steps)
     sol.converged = converged
     sol.n_fev = n_fev
     sol.start_index = start_index
-    sol.seed = options.seed
     return sol
 
 
@@ -416,7 +412,6 @@ def realize_solution(scn: Scenario, sched: ArcSchedule,
         converged=True,
         n_fev=0,
         start_index=-1,
-        seed=-1,
         clamp_count=traj.clamp_count,
     )
 

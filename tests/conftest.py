@@ -22,7 +22,7 @@ from cruiseopt.solver import SolverOptions, solve_indirect
 
 
 def fast_options(**overrides) -> SolverOptions:
-    opts = SolverOptions(n_starts=3, nlp_steps=60, steps=200)
+    opts = SolverOptions(steps=200)
     return replace(opts, **overrides) if overrides else opts
 
 

@@ -271,5 +271,5 @@ def test_criterion_11_deterministic_outputs(capsys, scenario, sol_04,
     emit_trajectory_csv(rerun, p2)
     ok = p1.read_bytes() == p2.read_bytes()
     report(capsys, 11, ok,
-           "two solves with identical config and seed emit "
+           "two solves with identical config emit "
            + ("byte-identical" if ok else "DIFFERING") + " CSV files")

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +111,7 @@ def test_sweep_command_warm_starts_every_weight_after_the_first(
     sched = ArcSchedule(t1=46.37, t2=6102.6, tf=6157.2, chi0=0.6937)
     calls = []
 
-    def fake_solve(scn, options=None, alpha=None, warm_start=None):
+    def fake_solve(scn, options=None, warm_start=None):
         calls.append((scn.alpha, warm_start))
         return solver.realize_solution(scn, sched, steps=10)
 
@@ -121,6 +125,25 @@ def test_sweep_command_warm_starts_every_weight_after_the_first(
         assert (tmp_path / f"alpha_{a}" / "solution.json").exists()
 
 
+def test_case_study_script_runs_fast(tmp_path):
+    """`scripts/reproduce_case_study.py --fast` runs the comparison and the
+    sweep end to end; it exits 0 only when the gap is within 1e-3 and every
+    weight converged."""
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_case_study.py"),
+         "--fast", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stdout + out.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["sweep_converged"] == [True, True, True]
+    # the first bang arc grows with the weight (0.1, 0.3, 0.5)
+    assert summary["t1_trend"] == sorted(summary["t1_trend"])
+
+
 class TestArgumentHandling:
     def test_alpha_outside_unit_interval_rejected(self, capsys):
         rc = main(["solve-indirect", "--alpha", "1.5", "--out", "/tmp/x"])
@@ -130,6 +153,15 @@ class TestArgumentHandling:
     def test_missing_out_is_a_parse_error(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve-indirect"])
+
+    def test_seed_flag_is_rejected(self):
+        # the start grid is fixed, so no solve command takes a seed
+        for argv in (["solve-indirect"], ["solve-direct"], ["compare"],
+                     ["sweep-alpha", "--alphas", "0.4"]):
+            argv = argv + ["--out", "run"]
+            build_parser().parse_args(argv)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--seed", "1"])
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
