@@ -247,15 +247,30 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
     return states, throttles
 
 
+def _arc_times(t_last: float, ta: float, tb: float, steps: int):
+    """The sample times of the arc [ta, tb] at `steps` RK4 steps, or None
+    when the rollout skips it as empty: when it lasts 1e-12 s or less, or
+    when its samples do not rise strictly past `t_last`, the sample before
+    the arc, and each other in double precision (an arc of a few
+    picoseconds late in the flight)."""
+    if tb - ta <= 1e-12:
+        return None
+    ts = [ta + (k + 1) * (tb - ta) / steps for k in range(steps)]
+    if not all(a < b for a, b in zip([t_last, *ts], ts)):
+        return None
+    return ts
+
+
 def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
                    pi_min: float, pi_max: float,
                    steps_per_arc: int = 400) -> Trajectory:
     """Integrate the bang / singular / bang trajectory for one schedule.
 
-    `x0` is (x, y, v, m); heading starts at schedule.chi0.  Zero-length arcs
-    are skipped, so a degenerate t1 == t2 schedule is pure bang-bang and the
-    middle-arc feedback is never evaluated.  The result carries states,
-    throttles and the clamp count; `diagnose` fills the rest.
+    `x0` is (x, y, v, m); heading starts at schedule.chi0.  Empty arcs (see
+    `_arc_times`) are skipped, so a degenerate t1 == t2 schedule is pure
+    bang-bang and the middle-arc feedback is never evaluated.  The result
+    carries states, throttles and the clamp count; `diagnose` fills the
+    rest.
     """
     pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
     sing = _Rhs(ctx, math.nan, alpha, pi_min, pi_max)
@@ -267,17 +282,17 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
     throttles = [pi_max]
     arc_ids = [0]
     for arc, (ta, tb, rhs) in enumerate(arcs):
-        if tb - ta <= 1e-12:
+        arc_times = _arc_times(times[-1], ta, tb, steps_per_arc)
+        if arc_times is None:
             continue
         states, pis = _rk4(rhs, samples[-1], ta, tb, steps_per_arc)
-        times.extend(ta + (k + 1) * (tb - ta) / steps_per_arc
-                     for k in range(steps_per_arc))
+        times.extend(arc_times)
         samples.extend(states)
         throttles.extend(pis)
         arc_ids.extend([arc] * steps_per_arc)
 
     # throttle at the initial sample reflects the first nonempty arc
-    if schedule.t1 <= 1e-12:
+    if arc_ids[1:2] != [0]:
         throttles[0] = throttles[1] if len(throttles) > 1 else pi_min
 
     return Trajectory(
@@ -303,7 +318,7 @@ def _singular_costates(ctx: CruiseContext, traj: Trajectory,
     # Python ints: a NumPy step count would turn the sweeps' step size, and
     # with it all their arithmetic, into slower NumPy scalars
     mid = np.flatnonzero(traj.arc_id == 1).tolist()
-    # a singular arc of 1e-12 s or less is skipped by the rollout
+    # the rollout skips an empty singular arc (see `_arc_times`)
     if not (schedule.t1 < schedule.t2 and mid):
         raise ValidationError("co-state reconstruction requires a singular arc")
     first = mid[0] - 1 if mid[0] > 0 else 0
@@ -317,8 +332,8 @@ def _final_arc_costates(ctx: CruiseContext, traj: Trajectory,
                         pi_min: float) -> list:
     """Co-states at the samples after j, the last singular sample, from the
     joint state/co-state sweep forward over the final bang arc; empty when
-    that arc has zero length."""
-    if not (np.any(traj.arc_id == 2) and schedule.tf - schedule.t2 > 1e-12):
+    the rollout skipped that arc."""
+    if not np.any(traj.arc_id == 2):
         return []
     pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
     chain, _ = _rk4(_Rhs(ctx, pi_end), (*traj.states[j], *lam_j),

@@ -73,12 +73,17 @@ def chi0_constant_wind(scn: Scenario, tf: float) -> float:
     return math.atan2(num, den)
 
 
-_POLISH_FD = 1e-7
-_POLISH_MARGIN = 20.0 * _POLISH_FD
+_FD_STEP = 1e-7             # central-difference step on the scaled unknowns
+# shortest arc the shooting solve keeps between ordered switch times, so
+# that central differences stay inside the schedule domain
+_ORDER_MARGIN = 20.0 * _FD_STEP
 _FEAS_TOL = 1e-8            # on the scaled terminal residuals
 _COSTATE_TOL = 1e-10        # on the endpoint co-state residual
 _LM_MAX_ITER = 40           # trial steps per Levenberg-Marquardt solve
 _LM_LAMBDA0 = 1e-6          # initial damping, relative to diag(J^T J)
+# A structure is dropped when an accepted step with its final arc at the
+# ordering margin keeps more than this share of the squared residual.
+_STALL_RATIO = 0.98
 # Below this cost weight the optimum sits against the degenerate co-state
 # manifold (the mass co-state normalization saturates the determinant
 # guard), so the endpoint co-state equation is driven best-effort and a
@@ -93,7 +98,7 @@ _ALPHA_COLLAPSED = 0.9
 _SEARCH_STEPS = 20
 
 
-class _TerminalPolish:
+class _LMShooting:
     """Levenberg-Marquardt shooting solve on the switching-point system.
 
     The square system of first-order conditions is the three scaled
@@ -145,10 +150,10 @@ class _TerminalPolish:
         z = np.array(z, dtype=float)
         it = 0 if self.constant_wind else 1
         t1, t2, tf = z[it], z[it + 1], z[it + 2]
-        t1 = max(t1, _POLISH_MARGIN)
-        tf = max(tf, 3.0 * _POLISH_MARGIN)
-        t2 = min(max(t2, t1 + _POLISH_MARGIN), tf - _POLISH_MARGIN)
-        t1 = min(t1, t2 - _POLISH_MARGIN)
+        t1 = max(t1, _ORDER_MARGIN)
+        tf = max(tf, 3.0 * _ORDER_MARGIN)
+        t2 = min(max(t2, t1 + _ORDER_MARGIN), tf - _ORDER_MARGIN)
+        t1 = min(t1, t2 - _ORDER_MARGIN)
         z[it], z[it + 1], z[it + 2] = t1, t2, tf
         return z
 
@@ -171,7 +176,7 @@ class _TerminalPolish:
                 return r
             if self.alpha >= _ALPHA_COLLAPSED:
                 it = 0 if self.constant_wind else 1
-                return np.append(r, z[it + 1] - z[it] - _POLISH_MARGIN)
+                return np.append(r, z[it + 1] - z[it] - _ORDER_MARGIN)
             # Endpoint condition in the alpha-invariant normalized co-state
             # mu = lam / alpha (reconstructed with unit weight):
             # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
@@ -188,12 +193,12 @@ class _TerminalPolish:
     def _jacobian(self, z, square: bool) -> np.ndarray | None:
         """Central differences; None when a perturbed rollout fails."""
         cols = []
-        for dz in _POLISH_FD * np.eye(len(z)):
+        for dz in _FD_STEP * np.eye(len(z)):
             rp = self.residual(z + dz, square)
             rm = self.residual(z - dz, square)
             if rp is None or rm is None:
                 return None
-            cols.append((rp - rm) / (2.0 * _POLISH_FD))
+            cols.append((rp - rm) / (2.0 * _FD_STEP))
         return np.column_stack(cols)
 
     def _levenberg_marquardt(self, z, square: bool):
@@ -201,9 +206,11 @@ class _TerminalPolish:
         of Nielsen (IMM-REP-1999-05) and the scaling D = diag(J^T J) of
         Moré (1978).  Trial points are projected back inside the schedule
         ordering, and the gain ratio compares the actual reduction with the
-        one predicted for that projected step.  Returns (z, residual) at
-        the last accepted point; the residual is None when the rollout at
-        the start point fails."""
+        one predicted for that projected step.  The solve gives up on the
+        final-arc structure when an accepted step leaves the final arc at
+        the ordering margin and cuts the squared residual by less than
+        2 %.  Returns (z, residual) at the last accepted point; the
+        residual is None when the rollout at the start point fails."""
         r = self.residual(z, square)
         if r is None:
             return z, None
@@ -226,7 +233,11 @@ class _TerminalPolish:
             if r_try is not None and pred > 0.0:
                 gain = (r @ r - r_try @ r_try) / pred
             if gain > 0.0:
+                stalled = r_try @ r_try > _STALL_RATIO * (r @ r)
                 z, r, jac = z_try, r_try, None
+                # z ends in (t2, tf): a final arc held at the margin
+                if stalled and z[-1] - z[-2] <= 1.5 * _ORDER_MARGIN:
+                    break
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 nu = 2.0
             else:
@@ -242,7 +253,11 @@ class _TerminalPolish:
         throttle), started from a short last arc, and keeps that structure
         only when the system then closes.  A collapsing idle final arc
         means the terminal speed target sits above the singular-arc speed
-        and the last arc must accelerate.
+        and the last arc must accelerate.  The current structure is
+        abandoned early, without spending the rest of its trial budget,
+        once an accepted step leaves its final arc pinned at the ordering
+        margin while cutting the squared residual by less than 2 %: the
+        retry then starts from that iterate.
         """
         z, ok = self._run_structure(z0)
         if ok:
@@ -339,8 +354,8 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     tried = []
     for idx, z, final_throttle, resolutions in attempts:
         for steps in resolutions:
-            shooting = _TerminalPolish(ctx, scn, scn.alpha, steps,
-                                       final_throttle)
+            shooting = _LMShooting(ctx, scn, scn.alpha, steps,
+                                   final_throttle)
             z, closed = shooting.run(z)
             n_fev += shooting.n_fev
             final_throttle = shooting.final_throttle

@@ -89,8 +89,13 @@ def sol_03(scenario, sol_04):
 
 
 @pytest.fixture(scope="session")
-def sol_01(scenario, sol_03):
-    return _chain(scenario, sol_03.schedule, [0.2, 0.1])
+def sol_02(scenario, sol_03):
+    return _chain(scenario, sol_03.schedule, [0.2])
+
+
+@pytest.fixture(scope="session")
+def sol_01(scenario, sol_02):
+    return _chain(scenario, sol_02.schedule, [0.1])
 
 
 @pytest.fixture(scope="session")

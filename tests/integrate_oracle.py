@@ -8,7 +8,7 @@ right-hand side composes `dynamics.eval_F`, `dynamics.zermelo_rhs` and
 over the three arcs exactly as the library does.  The library's rollouts and
 co-states must match these bit for bit, failures included.
 
-`endgame_residual` is the Newton endgame's residual as it was computed
+`shooting_residual` is the shooting solve's residual as it was computed
 through the full `reconstruct_costates`, backward sweep over the first arc
 included.
 """
@@ -102,15 +102,17 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0,
     throttles = [pi_max]
     arc_ids = [0]
     for arc, (ta, tb, rhs) in enumerate(arcs):
-        if tb - ta <= 1e-12:
+        k = np.arange(1, steps_per_arc + 1)
+        arc_times = ta + k * (tb - ta) / steps_per_arc
+        # skipped: 1e-12 s or shorter, or too short to sample strictly
+        if tb - ta <= 1e-12 or np.any(np.diff([times[-1], *arc_times]) <= 0):
             continue
         states, pis = _rk4(rhs, samples[-1], ta, tb, steps_per_arc)
-        times.extend(ta + (k + 1) * (tb - ta) / steps_per_arc
-                     for k in range(steps_per_arc))
+        times.extend(arc_times)
         samples.extend(states)
         throttles.extend(pis)
         arc_ids.extend([arc] * steps_per_arc)
-    if schedule.t1 <= 1e-12:
+    if arc_ids[1:2] != [0]:
         throttles[0] = throttles[1] if len(throttles) > 1 else pi_min
     return Trajectory(
         t=np.array(times),
@@ -148,7 +150,7 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
             lam[j - k] = st[5:]
     pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
     post = np.where(traj.arc_id == 2)[0]
-    if len(post) > 0 and schedule.tf - schedule.t2 > 1e-12:
+    if len(post) > 0:
         j = mid_idx[-1]
         chain, _ = _rk4(_Rhs(ctx, pi_end), np.append(traj.states[j], lam[j]),
                         traj.t[j], traj.t[-1], n - 1 - j)
@@ -158,28 +160,29 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
     return traj
 
 
-def endgame_residual(polish, z, with_costate: bool):
-    """`_TerminalPolish.residual` with the co-state from the library's full
+def shooting_residual(shooting, z, with_costate: bool):
+    """`_LMShooting.residual` with the co-state from the library's full
     `reconstruct_costates`."""
-    sched = polish.decode(z)
+    sched = shooting.decode(z)
     if sched is None:
         return None
-    scn = polish.scn
+    scn = shooting.scn
     try:
-        traj = lib_integrate(polish.ctx, sched, polish.x0, polish.alpha,
-                             scn.pi_min, scn.pi_max,
-                             steps_per_arc=polish.steps)
+        traj = lib_integrate(shooting.ctx, sched, shooting.x0,
+                             shooting.alpha, scn.pi_min, scn.pi_max,
+                             steps_per_arc=shooting.steps)
         fin = traj.final_state
         r = np.array([(fin[0] - scn.xf) / STATE_SCALES[0],
                       (fin[1] - scn.yf) / STATE_SCALES[0],
                       (fin[2] - scn.vf) / STATE_SCALES[2]])
         if with_costate:
-            traj = lib_reconstruct(polish.ctx, traj, sched, 1.0, scn.pi_min,
-                                   scn.pi_max)
+            traj = lib_reconstruct(shooting.ctx, traj, sched, 1.0,
+                                   scn.pi_min, scn.pi_max)
             mu_m = traj.costates[-1, 3]
             if not np.isfinite(mu_m) or mu_m == 0.0:
                 return None
-            r = np.append(r, 1.0 / mu_m - polish.alpha / (polish.alpha - 1.0))
+            alpha = shooting.alpha
+            r = np.append(r, 1.0 / mu_m - alpha / (alpha - 1.0))
         return r
     except CruiseOptError:
         return None

@@ -1,5 +1,6 @@
 """Arc integrator tests: order, degenerate arcs, co-state reconstruction,
-bit-identity with the oracle stepper, and the endgame's terminal co-state."""
+bit-identity with the oracle stepper, and the shooting solve's terminal
+co-state."""
 
 import math
 from dataclasses import replace
@@ -21,7 +22,7 @@ from cruiseopt.pmp import TIME_SCALE, solve_costates_on_singular
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 make_context)
-from cruiseopt.solver import _TerminalPolish
+from cruiseopt.solver import _LMShooting
 
 SCN = load_scenario(default_scenario_path())
 CTX = make_context(SCN)
@@ -261,7 +262,7 @@ class TestCostateReconstruction:
 def _outcome(mod, wind, alpha, steps, sched):
     """Rollout and co-states of one schedule through `mod` (the library or
     the oracle), with each failure reduced to what a caller can see.  Zero
-    weight reconstructs with unit weight, as the Newton endgame does."""
+    weight reconstructs with unit weight, as the shooting solve does."""
     scn = SCENARIOS[wind]
     ctx = make_context(scn)
     x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
@@ -333,7 +334,7 @@ def test_rollout_and_costates_match_the_oracle(wind, alpha, steps, sched):
 
 
 def _decision(sched, constant_wind=False):
-    """The endgame's scaled decision vector of a schedule."""
+    """The shooting solve's scaled decision vector of a schedule."""
     z = np.array([sched.t1, sched.t2, sched.tf]) / TIME_SCALE
     return z if constant_wind else np.array([sched.chi0, *z])
 
@@ -342,14 +343,14 @@ def _decision(sched, constant_wind=False):
 def test_endgame_residual_matches_full_reconstruction(tag):
     wind, alpha, sched = COMMITTED[tag]
     scn = SCENARIOS[wind]
-    polish = _TerminalPolish(make_context(scn), scn, alpha, 40,
-                             final_throttle=sched.final_throttle)
+    shooting = _LMShooting(make_context(scn), scn, alpha, 40,
+                           final_throttle=sched.final_throttle)
     z0 = _decision(sched, wind == "constant")
     rng = np.random.default_rng(11)
     for k in range(6):
         z = z0 if k == 0 else z0 + rng.normal(0.0, 1e-3, len(z0))
-        got = polish.residual(z, True)
-        ref = integrate_oracle.endgame_residual(polish, z, True)
+        got = shooting.residual(z, True)
+        ref = integrate_oracle.shooting_residual(shooting, z, True)
         _assert_same(got is None, ref is None)
         if got is not None:
             _assert_same(got, ref)
@@ -368,11 +369,11 @@ def test_endgame_residual_failures_match_full_reconstruction():
         integrate_arcs(CTX, stall, X0, alpha, SCN.pi_min, SCN.pi_max,
                        steps_per_arc=40)
     for s in (degenerate, stall):
-        polish = _TerminalPolish(CTX, SCN, alpha, 40,
-                                 final_throttle=s.final_throttle)
-        assert polish.residual(_decision(s), True) is None
-        assert integrate_oracle.endgame_residual(
-            polish, _decision(s), True) is None
+        shooting = _LMShooting(CTX, SCN, alpha, 40,
+                               final_throttle=s.final_throttle)
+        assert shooting.residual(_decision(s), True) is None
+        assert integrate_oracle.shooting_residual(
+            shooting, _decision(s), True) is None
 
 
 def test_endgame_residual_skips_the_first_arc_sweep():
@@ -380,14 +381,14 @@ def test_endgame_residual_skips_the_first_arc_sweep():
     wind = CountingWind(SCN.wind)
     ctx.wind = wind
     sched = COMMITTED["0.4"][2]
-    polish = _TerminalPolish(ctx, SCN, 0.4, 20)
-    polish.residual(_decision(sched), True)
+    shooting = _LMShooting(ctx, SCN, 0.4, 20)
+    shooting.residual(_decision(sched), True)
     # the rollout (240 stages), one co-state solve per singular sample and
     # at the t1 junction (21), the forward sweep over the last arc (80);
     # reconstruct_costates also sweeps the first arc (80 more)
     assert wind.calls == {"wind_at": 240 + 21 + 80,
                           "wind_gradients": 240 + 80}
-    assert polish.n_fev == 1
+    assert shooting.n_fev == 1
 
 
 def test_costate_sweeps_step_plain_floats(monkeypatch):

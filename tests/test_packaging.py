@@ -17,12 +17,18 @@ PERFBENCH = ROOT / "perfbench"
 
 
 def test_import_leaves_scipy_optimize_unloaded():
+    """`import cruiseopt` loads no third-party package but NumPy: nothing
+    else adds to the start-up time of every caller."""
     src = str(Path(cruiseopt.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cruiseopt; "
-            "print('scipy.optimize' in sys.modules)")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "before = set(sys.modules); import cruiseopt; "
+            "print(' '.join(sorted({n.split('.')[0] for n in sys.modules} "
+            "- {n.split('.')[0] for n in before})))")
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    loaded = set(out.stdout.split())
+    assert "scipy" not in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"cruiseopt"} == {"numpy"}
 
 
 @pytest.mark.skipif(not (PERFBENCH / "trace_spans.py").is_file(),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cruiseopt.dynamics import eval_P, eval_Q
@@ -248,6 +248,10 @@ def test_costate_rhs_matches_dense_jacobian_oracle(state, lam, pi):
 
 
 @given(STATES)
+# the oracle's worst states for a step too long (truncation: a slow
+# aircraft heading due north) and too short (rounding: throttle -22)
+@example((0.0, 0.0, 166.5, 57237.0, 1.5707963257948965))
+@example((722227.0, 667491.0, 258.625, 45005.0, 0.0))
 @settings(max_examples=300, deadline=None)
 def test_zero_weight_throttle_matches_fd_determinant_transport(state):
     """The zero-weight throttle differentiates the same equilibrated

@@ -14,7 +14,7 @@ from cruiseopt.errors import DegenerateGeometryError
 from cruiseopt.integrate import ArcSchedule, integrate_arcs
 from cruiseopt.pmp import TIME_SCALE
 from cruiseopt.scenario import Scenario
-from cruiseopt.solver import (_start_grid, _TerminalPolish,
+from cruiseopt.solver import (SolverOptions, _LMShooting, _start_grid,
                               chi0_constant_wind, realize_solution,
                               solve_indirect, sweep_alpha, verify_solution)
 from cruiseopt.wind import ConstantWind
@@ -80,7 +80,7 @@ class TestStartGrid:
 
 class TestRolloutDecode:
     def test_round_trip(self, context, scenario):
-        ro = _TerminalPolish(context, scenario, 0.4, 50)
+        ro = _LMShooting(context, scenario, 0.4, 50)
         z = np.array([0.7, 0.05, 6.0, 6.1])
         sched = ro.decode(z)
         assert sched.chi0 == 0.7
@@ -164,7 +164,7 @@ def test_cold_solve_reports_endgame_optimality(monkeypatch, tmp_path,
     for costate_resid in (0.0, 1e-3):
         # the stubbed shooting solve decides the outcome
         monkeypatch.setattr(
-            _TerminalPolish, "_levenberg_marquardt",
+            _LMShooting, "_levenberg_marquardt",
             lambda self, z, square, _c=costate_resid: (
                 z_opt, np.array([0.0, 0.0, 0.0, _c])))
         sol = solve_indirect(scenario_cw, opts)
@@ -184,18 +184,22 @@ def test_cold_solve_converges(request, fixture):
 
 
 @pytest.mark.parametrize("t1, t2, limit", [
-    (1e-13, 90.0, (0.0, 90.0)),
-    (10.0, 10.0 + 1e-13, (10.0, 10.0)),
-    (10.0, 100.0 - 1e-13, (10.0, 100.0)),
+    (1e-13, 90.0, (0.0, 90.0, 100.0)),
+    (10.0, 10.0 + 1e-13, (10.0, 10.0, 100.0)),
+    (10.0, 100.0 - 1e-13, (10.0, 100.0, 100.0)),
+    # 1e-11 s is 11 doubles apart near 6100 s: 20 samples cannot rise
+    # strictly across it
+    (46.37, 6102.6 - 1e-11, (46.37, 6102.6, 6102.6)),
 ])
 def test_collapsed_arc_realizes_as_its_limit(scenario, t1, t2, limit):
-    """The rollout skips an arc of 1e-12 s or less, and realizing the
-    schedule follows the same rule: a collapsed singular arc realizes as
-    bang-bang, without co-states."""
-    got = realize_solution(scenario, ArcSchedule(t1, t2, 100.0, 0.45),
+    """The rollout skips an arc of 1e-12 s or less, or one too short for
+    its samples to rise strictly, and realizing the schedule follows the
+    same rule: a collapsed singular arc realizes as bang-bang, without
+    co-states."""
+    tf = limit[2]
+    got = realize_solution(scenario, ArcSchedule(t1, t2, tf, 0.45),
                            steps=20)
-    want = realize_solution(scenario, ArcSchedule(*limit, 100.0, 0.45),
-                            steps=20)
+    want = realize_solution(scenario, ArcSchedule(*limit, 0.45), steps=20)
     assert got.trajectory.final_state == pytest.approx(
         want.trajectory.final_state, rel=1e-12)
     if limit[0] == limit[1]:
@@ -227,8 +231,23 @@ def test_warm_start_short_circuits_multistart(monkeypatch, scenario,
     assert sol.converged
     assert sol.start_index == -1  # never entered the multistart search
     assert sol.cost == pytest.approx(sol_04.cost, rel=1e-9)
-    # every endgame rollout is counted; the last one realizes the solution
+    # every shooting rollout is counted; the last one realizes the solution
     assert 0 < sol.n_fev == len(rollouts) - 1
+
+
+def test_collapsed_final_arc_switches_structure_early(scenario, sol_02):
+    """From the idle alpha = 0.2 schedule the alpha = 0.1 optimum needs a
+    max-throttle final arc.  The idle structure collapses its final arc
+    onto the ordering margin and stalls there; the shooting solve drops it
+    then instead of spending its whole trial budget (197 rollouts)."""
+    assert sol_02.schedule.final_throttle is None
+    sol = solve_indirect(scenario.replace_alpha(0.1), SolverOptions(steps=40),
+                         warm_start=sol_02.schedule)
+    assert sol.converged
+    assert sol.schedule.final_throttle == scenario.pi_max
+    # the continuation chain's cost at 40 steps per arc
+    assert sol.cost == pytest.approx(-47626.2379829, rel=1e-6)
+    assert sol.n_fev <= 70
 
 
 def test_sweep_returns_input_order_and_growing_bang_arc(scenario):
