@@ -14,7 +14,9 @@ co-states on the bang arcs.  The stepper works on plain floats with each
 stage point and the update written out per component, for the five-state
 system and for the nine-component joint system, in the operation order of
 the generic tuple form it replaced, so results are bit-identical to it.
-Each RK4 stage looks the wind and its gradients up once.  A rollout records
+Each RK4 stage makes one fused lookup of the wind and its gradients
+(`wind_and_gradients`), which feeds the dynamics, the heading rate, the
+singular feedback and the co-state equation.  A rollout records
 states and throttles only; one diagnostics pass over a realized trajectory
 (`diagnose`) fills the exact singular throttle, the switching function,
 Hamiltonian, Legendre-Clebsch value, determinant, Mach number and envelope
@@ -112,12 +114,12 @@ class _Rhs:
     """Right-hand side of (x, y, v, m, chi), or of the joint state/co-state
     system when called with the co-state appended (nine components).
 
-    The wind and its gradients are looked up once per call, through the
-    wind field's methods bound at construction, and feed the dynamics
-    F = Q + pi P, the heading rate, the singular feedback and the co-state
-    equation.  F, the heading rate and the co-state equation are written
-    out here, with the context's constants bound at construction, in the
-    operation order of `dynamics.eval_F`, `dynamics.zermelo_rhs` and
+    The wind and its gradients come from one lookup per call, through the
+    wind field's `wind_and_gradients` bound at construction, and feed the
+    dynamics F = Q + pi P, the heading rate, the singular feedback and the
+    co-state equation.  F, the heading rate and the co-state equation are
+    written out here, with the context's constants bound at construction,
+    in the operation order of `dynamics.eval_F`, `dynamics.zermelo_rhs` and
     `pmp.costate_rhs`: rollouts match those point evaluations bit for bit
     without their calls.  `throttle` is the bang level; given a cost weight
     `alpha`, the throttle comes instead from the singular feedback, clamped
@@ -134,27 +136,23 @@ class _Rhs:
         self.pi_min = pi_min
         self.pi_max = pi_max
         self.clamps = 0
-        self._wind_at = ctx.wind.wind_at
-        self._wind_gradients = ctx.wind.wind_gradients
+        self._wind = ctx.wind.wind_and_gradients
         self._consts = (ctx.qs_coeff, ctx.ind_coeff, ctx.T_max,
                         ctx.model.C_s1, ctx.model.C_s2,
                         -ctx.cs_slope * ctx.T_max)
 
     def __call__(self, s):
         x, y, v, m, chi = s[:5]
-        wind = self._wind_at(x, y)
-        grads = self._wind_gradients(x, y)
+        wg = self._wind(x, y)
         pi = self.throttle
         if self.alpha is not None:
-            pi = evaluate_feedback(self.ctx, x, y, v, m, chi, self.alpha,
-                                   wind, grads).throttle
+            pi = evaluate_feedback(self.ctx, x, y, v, m, chi, self.alpha, wg)
             if pi < self.pi_min or pi > self.pi_max:
                 self.clamps += 1
                 pi = min(max(pi, self.pi_min), self.pi_max)
             self.throttle = pi
         qs, ind, tmax, cs1, cs2, fuel_v = self._consts
-        wx, wy = wind
-        wxx, wxy, wyx, wyy = grads
+        wx, wy, wxx, wxy, wyx, wyy = wg
         sn, c = math.sin(chi), math.cos(chi)
         drag = qs * v * v + ind * m * m / (v * v)
         f = (v * c + wx,
@@ -397,8 +395,8 @@ def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,
             else traj.costates).tolist()
     for i, (x, y, v, m, chi) in enumerate(traj.states.tolist()):
         if traj.arc_id[i] == 1:
-            fb = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
-            traj.throttle[i] = min(max(fb.throttle, pi_min), pi_max)
+            pi = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
+            traj.throttle[i] = min(max(pi, pi_min), pi_max)
         det[i] = scaled_det(ctx, x, y, v, m, chi)
         env = check_envelope(ctx.model, ctx.atm, v, ctx.h)
         mach[i], ok[i] = env.mach, env.ok

@@ -23,13 +23,19 @@ state scales and normalization of each row to unit 2-norm.  Resolving the
 planar columns along and across the heading turns that determinant into a
 3x3 minor over three row norms, which the zero-weight feedback
 differentiates along the flow by the quotient rule.
+
+The generic feedback runs at every singular-arc RK4 stage, so
+`singular_throttle` writes the determinant, co-state and bracket algebra
+out in one function that returns only the throttle, in the operation order
+of the composed helpers that `scaled_det`, `solve_costates_on_singular`
+and `lie_B_D` use; both feedback forms take the wind and its gradients as
+one `wind_and_gradients` tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from .errors import DegenerateArcError, IllConditionedSystemError, SingularDenominatorError
@@ -212,41 +218,79 @@ def solve_costates_on_singular(ctx: CruiseContext, x: float, y: float,
     return Costate(alpha * lx, alpha * ly, alpha * lv, alpha * lm)
 
 
-class FeedbackEval(NamedTuple):
-    """One evaluation of the singular throttle feedback with diagnostics."""
-
-    throttle: float          # unclamped value
-    lam: tuple | None        # physical co-state (None on the alpha=0 route)
-    det_scaled: float        # equilibrated determinant of the system matrix
-    lc: float                # -<lambda, D>, the second-order condition value
-
-
 def singular_throttle(ctx: CruiseContext, v: float, m: float, chi: float,
-                      wind, grads, alpha: float) -> FeedbackEval:
+                      wg) -> float:
     """Feedback throttle on the singular arc from the vanishing of the
-    second derivative of the switching function; `wind` and `grads` are the
-    wind and its gradients at the position.
+    second derivative of the switching function, -<lambda, B>/<lambda, D>
+    at the unit-weight co-state; `wg` is the wind and its gradients at the
+    position, as `wind_and_gradients` returns them.  The ratio does not
+    depend on the cost weight.
 
     The heading-rate term chidot <lambda, dA/dchi> of that derivative is
     identically zero: (lam_x, lam_y) lies along the heading and dA/dchi
     across it.
+
+    This is the composition of `_system`, `_unit_costate` and `_brackets`
+    written out in their operation order, with the same determinant and
+    denominator guards: the throttle, and the error raised, are bit for bit
+    those of the composed form.
     """
-    sysm = _system(ctx, wind, v, m, chi)
-    lx, ly, lv, lm = _unit_costate(m, sysm, EPS_DET)
-    b, d = _brackets(ctx, m, sysm[0], sysm[1], sysm[4], grads)
-    num = lx * b[0] + ly * b[1] + lv * b[2] + lm * b[3]
-    den = lx * d[0] + ly * d[1] + lv * d[2] + lm * d[3]
+    wx, wy, wxx, wxy, wyx, wyy = wg
+    tmax, cs_v, model = ctx.T_max, ctx.cs_slope, ctx.model
+    c, s = math.cos(chi), math.sin(chi)
+    vg = v + wx * c + wy * s
+    wn = wy * c - wx * s
+    # the drag polar and the bracket A (`_polar`)
+    cs = model.C_s1 * (1.0 + v / model.C_s2)
+    m2 = m * m
+    u = ctx.qs_coeff * v / m2
+    w = ctx.ind_coeff / (v * v * v)
+    f = 2.0 + cs * v
+    drag = m2 * v * (u + w)
+    d_v = 2.0 * m2 * (u - w)
+    cst = cs_v * tmax
+    a_v = tmax * (u - w) * f
+    a_m = cst * drag / m
+    av_v = tmax * ((u + 3.0 * w) * f / v + (u - w) * (cs_v * v + cs))
+    av_m = -2.0 * tmax * u * f / m
+    am_v = cst * d_v / m
+    am_m = -cst * v * (u - w)
+    # the equilibrated determinant and the unit co-state (`_system`)
+    tm = tmax / m
+    k = m * (m * cs * a_v + a_m) / tmax
+    delta = k * vg - cs * drag
+    p0, p1 = tm / _SV, cs * tmax / _SM
+    r0, r1, r2 = tm / _SX, a_v / _SV, a_m / _SM
+    q0, q1, q2 = vg / _SX, wn / _SX, drag / (m * _SV)
+    det = -tm * tm * delta / (_SX * _SV * _SM * math.sqrt(
+        (p0 * p0 + p1 * p1) * (r0 * r0 + r1 * r1 + r2 * r2)
+        * (q0 * q0 + q1 * q1 + q2 * q2)))
+    if abs(det) < EPS_DET:
+        raise IllConditionedSystemError(
+            det, 1.0 / abs(det) if det else math.inf)
+    lm = -1.0 / delta
+    rho = k * lm
+    lx, ly, lv = rho * c, rho * s, m * cs * lm
+    # <lambda, B> and <lambda, D> (`_brackets`)
+    q_v = -drag / m
+    p_m = -cs * tmax
+    num = (lx * (tm * (wxx * c + wxy * s) - c * a_v)
+           + ly * (tm * (wyx * c + wyy * s) - s * a_v)
+           + lv * (q_v * av_v + (d_v * a_v + (2.0 * m * v * w - drag / m)
+                                 * a_m) / m)
+           + lm * (q_v * am_v))
+    den = (lx * (tm * c * p_m / m) + ly * (tm * s * p_m / m)
+           + lv * (tm * av_v + p_m * av_m + tm * a_m / m)
+           + lm * (tm * am_v + p_m * am_m + cst * a_v))
     if abs(den) <= EPS_DEN:
         raise SingularDenominatorError(
             f"<lambda, D> = {den:.3e} below threshold {EPS_DEN:.1e}"
         )
-    return FeedbackEval(-num / den,
-                        (alpha * lx, alpha * ly, alpha * lv, alpha * lm),
-                        sysm[9], -alpha * den)
+    return -num / den
 
 
 def singular_throttle_alpha0(ctx: CruiseContext, v: float, m: float,
-                             chi: float, wind, grads) -> FeedbackEval:
+                             chi: float, wg) -> float:
     """Zero-time-weight singular throttle from determinant transport.
 
     With zero cost weight the algebraic co-state solve degenerates and the
@@ -255,13 +299,14 @@ def singular_throttle_alpha0(ctx: CruiseContext, v: float, m: float,
     derivative along the field F.  The derivative along Q includes the
     heading-rate term (which vanishes for constant wind).  Both come from
     det = g / N, g = -(T/m)^2 delta / (s_x s_v s_m), N the product of the
-    three row norms, by the quotient rule.  `wind` and `grads` are the wind
-    and its gradients at the position.
+    three row norms, by the quotient rule.  `wg` is the wind and its
+    gradients at the position, as `wind_and_gradients` returns them.
     """
+    wind, grads = wg[:2], wg[2:]
     chidot = zermelo_rhs(chi, grads)
     tmax, cs_v = ctx.T_max, ctx.cs_slope
     (c, s, vg, wn, pol, k, delta, rows, (np2, na2, nq2),
-     det) = _system(ctx, wind, v, m, chi)
+     _) = _system(ctx, wind, v, m, chi)
     cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = pol
     p0, p1, r0, r1, r2, q0, q1, q2 = rows
     tm = tmax / m
@@ -296,23 +341,22 @@ def singular_throttle_alpha0(ctx: CruiseContext, v: float, m: float,
         raise DegenerateArcError(
             f"determinant-gradient denominator {den:.3e} below {EPS_DEN:.1e}"
         )
-    return FeedbackEval(-num / den, None, det, math.nan)
+    return -num / den
 
 
 def evaluate_feedback(ctx: CruiseContext, x: float, y: float, v: float,
-                      m: float, chi: float, alpha: float, wind=None,
-                      grads=None) -> FeedbackEval:
-    """Singular throttle at a point, dispatching on the cost weight.
+                      m: float, chi: float, alpha: float, wg=None) -> float:
+    """Unclamped singular throttle at a point, dispatching on the cost
+    weight.
 
-    `wind` and `grads`, the wind and its gradients at (x, y), are looked up
-    unless the caller has them already.
+    `wg`, the wind and its gradients at (x, y) as `wind_and_gradients`
+    returns them, is looked up unless the caller has it already.
     """
-    if wind is None:
-        wind = ctx.wind.wind_at(x, y)
-        grads = ctx.wind.wind_gradients(x, y)
+    if wg is None:
+        wg = ctx.wind.wind_and_gradients(x, y)
     if alpha == 0.0:
-        return singular_throttle_alpha0(ctx, v, m, chi, wind, grads)
-    return singular_throttle(ctx, v, m, chi, wind, grads, alpha)
+        return singular_throttle_alpha0(ctx, v, m, chi, wg)
+    return singular_throttle(ctx, v, m, chi, wg)
 
 
 def legendre_clebsch(ctx: CruiseContext, x: float, y: float, v: float,

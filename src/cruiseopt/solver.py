@@ -475,11 +475,27 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+_ARC_NAMES = ("first arc", "singular arc", "final arc")
+
+
+def _where(traj: Trajectory, bad: np.ndarray) -> str:
+    """Each arc that holds samples flagged in `bad`, with the window from
+    its first to its last flagged sample."""
+    parts = []
+    for arc, name in enumerate(_ARC_NAMES):
+        idx = np.flatnonzero(bad & (traj.arc_id == arc))
+        if len(idx):
+            parts.append(f"{name} t in [{traj.t[idx[0]]:.1f}, "
+                         f"{traj.t[idx[-1]]:.1f}] s")
+    return "; ".join(parts)
+
+
 def verify_solution(sol: Solution,
                     tol: VerifyTolerances | None = None) -> VerificationReport:
     """First- and second-order optimality checks on a solved trajectory.
 
-    Report-only; every check records its measured extreme.  Co-state-based
+    Report-only; every check records its measured extreme, and a failing
+    check names the arcs and the time windows where it fails.  Co-state-based
     checks are skipped when co-states were not reconstructed (zero cost
     weight or bang-bang degenerate schedules).
     """
@@ -492,9 +508,11 @@ def verify_solution(sol: Solution,
     )
 
     if has_costates:
-        drift = float(np.nanmax(np.abs(traj.H + alpha)))
+        dev = np.abs(traj.H + alpha)
+        drift = float(np.nanmax(dev))
         rep.checks.append(CheckResult(
-            "hamiltonian_constancy", drift <= tol.tol_H, drift, tol.tol_H))
+            "hamiltonian_constancy", drift <= tol.tol_H, drift, tol.tol_H,
+            _where(traj, dev > tol.tol_H)))
     else:
         rep.checks.append(CheckResult(
             "hamiltonian_constancy", None, math.nan, tol.tol_H,
@@ -520,11 +538,11 @@ def verify_solution(sol: Solution,
         ok = (smax < tol.tol_S_sign and smin > -tol.tol_S_sign
               and ssing <= tol.tol_S)
         if smax >= tol.tol_S_sign:
-            bad = np.where(on_max & (traj.S >= tol.tol_S_sign))[0]
-            detail = f"S sign violated on max arc, t in [{traj.t[bad[0]]:.1f}, {traj.t[bad[-1]]:.1f}] s"
+            detail = "S sign violated on max throttle: " + _where(
+                traj, on_max & (traj.S >= tol.tol_S_sign))
         elif smin <= -tol.tol_S_sign:
-            bad = np.where(on_min & (traj.S <= -tol.tol_S_sign))[0]
-            detail = f"S sign violated on min arc, t in [{traj.t[bad[0]]:.1f}, {traj.t[bad[-1]]:.1f}] s"
+            detail = "S sign violated on min throttle: " + _where(
+                traj, on_min & (traj.S <= -tol.tol_S_sign))
         worst = max(smax, -smin if smin is not math.inf else -math.inf, ssing)
         rep.checks.append(CheckResult(
             "switching_structure", ok, worst, tol.tol_S, detail))
@@ -536,12 +554,13 @@ def verify_solution(sol: Solution,
         on_sing = traj.arc_id == 1
         lc_min = float(np.nanmin(traj.lc[on_sing])) if np.any(on_sing) else 0.0
         rep.checks.append(CheckResult(
-            "legendre_clebsch", lc_min >= -tol.tol_LC, lc_min, tol.tol_LC))
+            "legendre_clebsch", lc_min >= -tol.tol_LC, lc_min, tol.tol_LC,
+            _where(traj, on_sing & (traj.lc < -tol.tol_LC))))
         lam_m_f = float(traj.costates[-1, 3])
         err = abs(lam_m_f - (alpha - 1.0))
         rep.checks.append(CheckResult(
             "transversality_lam_m", err <= tol.tol_lam_m, err, tol.tol_lam_m,
-            f"lam_m(tf)={lam_m_f:.6f}"))
+            f"lam_m(tf)={lam_m_f:.6f} at tf={traj.t[-1]:.1f} s"))
         # sine of the angle between (lam_x, lam_y) and the heading line;
         # no pole at chi = +-pi/2
         lam_x = traj.costates[:, 0]
@@ -553,7 +572,7 @@ def verify_solution(sol: Solution,
         chi_err = float(np.nanmax(resid))
         rep.checks.append(CheckResult(
             "heading_costate_consistency", chi_err <= tol.tol_chi, chi_err,
-            tol.tol_chi))
+            tol.tol_chi, _where(traj, resid > tol.tol_chi)))
     else:
         for name in ("legendre_clebsch", "transversality_lam_m",
                      "heading_costate_consistency"):
@@ -563,7 +582,8 @@ def verify_solution(sol: Solution,
     n_bad = int(np.sum(~traj.envelope_ok))
     rep.checks.append(CheckResult(
         "envelope_monitors", n_bad == 0, float(n_bad), 0.0,
-        f"{n_bad} samples outside the envelope"))
+        f"{n_bad} samples outside the envelope"
+        + (": " + _where(traj, ~traj.envelope_ok) if n_bad else "")))
     return rep
 
 

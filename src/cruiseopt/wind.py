@@ -14,12 +14,24 @@ with X = x/x_f, Y = y/y_f.  Expanding the antiderivative by hand:
     dw_x/dx = wxb * (a1/x_f + 2 a2 x/x_f^2 + a5 y/(x_f y_f))
     w_y     = -wxb * (a1 y/x_f + 2 a2 x y/x_f^2 + a5 y^2/(2 x_f y_f))
               + wyb * (1 + b0 x/x_f + b1 x^2/x_f^2)
+
+The field is evaluated in dimensional monomials, whose coefficients are
+computed once per field: with c1 = wxb a1/x_f, c2 = wxb a2/x_f^2,
+c5 = wxb a5/(x_f y_f) and their like,
+
+    w_x     = c0 + x (c1 + c2 x + c5 y) + y (c3 + c4 y)
+    w_y     = d0 + x (d1 + d2 x) - y (c1 + 2 c2 x + c5 y / 2)
+    dw_x/dx = c1 + 2 c2 x + c5 y = -dw_y/dy
+
+`wind_and_gradients` returns the wind and its four gradients from one
+call, by the same expressions as `wind_at` and `wind_gradients`, so every
+caller sees the same numbers.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
@@ -36,6 +48,10 @@ class ConstantWind:
         """(dwx/dx, dwx/dy, dwy/dx, dwy/dy) -- all zero."""
         return 0.0, 0.0, 0.0, 0.0
 
+    def wind_and_gradients(self, x: float, y: float):
+        """(w_x, w_y, dwx/dx, dwx/dy, dwy/dx, dwy/dy)."""
+        return self.W_x, self.W_y, 0.0, 0.0, 0.0, 0.0
+
 
 @dataclass(frozen=True)
 class PolynomialWind:
@@ -51,6 +67,8 @@ class PolynomialWind:
     wyb: float  # m/s, dimensional scale of f(x)
     x_f: float  # m, normalization scale in x
     y_f: float  # m, normalization scale in y
+    # dimensional monomial coefficients (see the module docstring)
+    _c: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x_f == 0.0 or self.y_f == 0.0:
@@ -63,31 +81,34 @@ class PolynomialWind:
                 "field may be unrealistically strong",
                 stacklevel=2,
             )
+        wxb, wyb, xf, yf = self.wxb, self.wyb, self.x_f, self.y_f
+        c2 = wxb * self.a2 / (xf * xf)
+        c4 = wxb * self.a4 / (yf * yf)
+        c5 = wxb * self.a5 / (xf * yf)
+        d2 = wyb * self.b1 / (xf * xf)
+        object.__setattr__(self, "_c", (
+            wxb * self.a0, wxb * self.a1 / xf, c2, wxb * self.a3 / yf, c4, c5,
+            wyb, wyb * self.b0 / xf, d2,
+            2.0 * c2, 2.0 * c4, 2.0 * d2, 0.5 * c5))
 
     def wind_at(self, x: float, y: float) -> tuple[float, float]:
-        xf, yf = self.x_f, self.y_f
-        u, w = x / xf, y / yf
-        wx = self.wxb * (
-            self.a0 + self.a1 * u + self.a2 * u * u
-            + self.a3 * w + self.a4 * w * w + self.a5 * u * w
-        )
-        wy = (
-            -self.wxb * (self.a1 * y / xf + 2.0 * self.a2 * x * y / (xf * xf)
-                         + 0.5 * self.a5 * y * y / (xf * yf))
-            + self.wyb * (1.0 + self.b0 * u + self.b1 * u * u)
-        )
-        return wx, wy
+        c0, c1, c2, c3, c4, c5, d0, d1, d2, c2x2, _, _, c5h = self._c
+        return (c0 + x * (c1 + c2 * x + c5 * y) + y * (c3 + c4 * y),
+                d0 + x * (d1 + d2 * x) - y * (c1 + c2x2 * x + c5h * y))
 
     def wind_gradients(self, x: float, y: float) -> tuple[float, float, float, float]:
         """(dwx/dx, dwx/dy, dwy/dx, dwy/dy); dwy/dy = -dwx/dx exactly."""
-        xf, yf = self.x_f, self.y_f
-        dwx_dx = self.wxb * (self.a1 / xf + 2.0 * self.a2 * x / (xf * xf)
-                             + self.a5 * y / (xf * yf))
-        dwx_dy = self.wxb * (self.a3 / yf + 2.0 * self.a4 * y / (yf * yf)
-                             + self.a5 * x / (xf * yf))
-        dwy_dx = (-2.0 * self.a2 * self.wxb * y / (xf * xf)
-                  + self.wyb * (self.b0 / xf + 2.0 * self.b1 * x / (xf * xf)))
-        return dwx_dx, dwx_dy, dwy_dx, -dwx_dx
+        _, c1, _, c3, _, c5, _, d1, _, c2x2, c4x2, d2x2, _ = self._c
+        wxx = c1 + c2x2 * x + c5 * y
+        return wxx, c3 + c4x2 * y + c5 * x, d1 + d2x2 * x - c2x2 * y, -wxx
+
+    def wind_and_gradients(self, x: float, y: float):
+        """(w_x, w_y, dwx/dx, dwx/dy, dwy/dx, dwy/dy) in one call."""
+        c0, c1, c2, c3, c4, c5, d0, d1, d2, c2x2, c4x2, d2x2, c5h = self._c
+        wxx = c1 + c2x2 * x + c5 * y
+        return (c0 + x * (c1 + c2 * x + c5 * y) + y * (c3 + c4 * y),
+                d0 + x * (d1 + d2 * x) - y * (c1 + c2x2 * x + c5h * y),
+                wxx, c3 + c4x2 * y + c5 * x, d1 + d2x2 * x - c2x2 * y, -wxx)
 
 
 WindField = ConstantWind | PolynomialWind

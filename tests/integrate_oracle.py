@@ -4,8 +4,11 @@
 before its stepper was written out per component: every stage point and
 the update are built as tuples from `zip` generator expressions, and the
 right-hand side composes `dynamics.eval_F`, `dynamics.zermelo_rhs` and
-`pmp.costate_rhs`.  `integrate_arcs` and `reconstruct_costates` drive them
-over the three arcs exactly as the library does.  The library's rollouts and
+`pmp.costate_rhs`, with the wind and its gradients from the field's
+separate lookups and the singular throttle from
+`pmp_oracle.composed_feedback`.  `integrate_arcs` and
+`reconstruct_costates` drive them over the three arcs exactly as the
+library does.  The library's rollouts and
 co-states must match these bit for bit, failures included.
 
 `shooting_residual` is the shooting solve's residual as it was computed
@@ -22,8 +25,11 @@ from cruiseopt.errors import CruiseOptError, IntegrationError, ValidationError
 from cruiseopt.integrate import ArcSchedule, Trajectory
 from cruiseopt.integrate import reconstruct_costates as lib_reconstruct
 from cruiseopt.integrate import integrate_arcs as lib_integrate
-from cruiseopt.pmp import (STATE_SCALES, costate_rhs, evaluate_feedback,
+from cruiseopt.pmp import (STATE_SCALES, costate_rhs,
+                           singular_throttle_alpha0,
                            solve_costates_on_singular)
+
+from pmp_oracle import composed_feedback
 
 
 class _Rhs:
@@ -48,8 +54,11 @@ class _Rhs:
         grads = ctx.wind.wind_gradients(x, y)
         pi = self.throttle
         if self.alpha is not None:
-            pi = evaluate_feedback(ctx, x, y, v, m, chi, self.alpha, wind,
-                                   grads).throttle
+            if self.alpha == 0.0:
+                pi = singular_throttle_alpha0(ctx, v, m, chi, wind + grads)
+            else:
+                pi = composed_feedback(ctx, v, m, chi, wind, grads,
+                                       self.alpha).throttle
             if pi < self.pi_min or pi > self.pi_max:
                 self.clamps += 1
                 pi = min(max(pi, self.pi_min), self.pi_max)

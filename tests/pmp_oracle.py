@@ -10,15 +10,22 @@ tests use it.
 unit-weight singular-arc co-state, kept here because only the tests call
 them; the library reaches the same algebra through `pmp._polar` and
 `pmp._system`.
+
+`composed_feedback` is the generic singular feedback as the library
+composed it from `pmp._system`, `pmp._unit_costate` and `pmp._brackets`
+before `pmp.singular_throttle` wrote that composition out; the written-out
+throttle must equal its throttle bit for bit, errors included.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from cruiseopt.dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
-from cruiseopt.pmp import (EPS_DET, STATE_SCALES, Costate, _polar, _system,
-                          _unit_costate)
+from cruiseopt.errors import SingularDenominatorError
+from cruiseopt.pmp import (EPS_DEN, EPS_DET, STATE_SCALES, Costate, _brackets,
+                          _polar, _system, _unit_costate)
 
 from model_oracle import jacobian_P, jacobian_Q
 
@@ -46,6 +53,34 @@ def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
     """
     sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, chi)
     return _unit_costate(m, sysm, eps_det), sysm[9]
+
+
+class FeedbackEval(NamedTuple):
+    """One evaluation of the singular throttle feedback with diagnostics."""
+
+    throttle: float          # unclamped value
+    lam: tuple               # physical co-state
+    det_scaled: float        # equilibrated determinant of the system matrix
+    lc: float                # -<lambda, D>, the second-order condition value
+
+
+def composed_feedback(ctx: CruiseContext, v: float, m: float, chi: float,
+                      wind, grads, alpha: float) -> FeedbackEval:
+    """Feedback throttle on the singular arc, composed from the library's
+    system, unit co-state and bracket helpers; `wind` and `grads` are the
+    wind and its gradients at the position."""
+    sysm = _system(ctx, wind, v, m, chi)
+    lx, ly, lv, lm = _unit_costate(m, sysm, EPS_DET)
+    b, d = _brackets(ctx, m, sysm[0], sysm[1], sysm[4], grads)
+    num = lx * b[0] + ly * b[1] + lv * b[2] + lm * b[3]
+    den = lx * d[0] + ly * d[1] + lv * d[2] + lm * d[3]
+    if abs(den) <= EPS_DEN:
+        raise SingularDenominatorError(
+            f"<lambda, D> = {den:.3e} below threshold {EPS_DEN:.1e}"
+        )
+    return FeedbackEval(-num / den,
+                        (alpha * lx, alpha * ly, alpha * lv, alpha * lm),
+                        sysm[9], -alpha * den)
 
 
 def costate_rhs(ctx, x, y, v, m, chi, throttle, lam):

@@ -157,19 +157,27 @@ def test_stalled_rollout_reports_time_and_state():
 
 
 class CountingWind:
-    """Wraps a wind field and counts its lookups."""
+    """Wraps a wind field and counts its lookups; `calls` lists the methods
+    called at least once."""
 
     def __init__(self, field):
         self.field = field
-        self.calls = {"wind_at": 0, "wind_gradients": 0}
+        self.calls = {}
+
+    def _count(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
 
     def wind_at(self, x, y):
-        self.calls["wind_at"] += 1
+        self._count("wind_at")
         return self.field.wind_at(x, y)
 
     def wind_gradients(self, x, y):
-        self.calls["wind_gradients"] += 1
+        self._count("wind_gradients")
         return self.field.wind_gradients(x, y)
+
+    def wind_and_gradients(self, x, y):
+        self._count("wind_and_gradients")
+        return self.field.wind_and_gradients(x, y)
 
 
 def test_each_rhs_stage_looks_the_wind_up_once():
@@ -182,21 +190,49 @@ def test_each_rhs_stage_looks_the_wind_up_once():
                    (_Rhs(ctx, math.nan, 0.4, SCN.pi_min, SCN.pi_max), state),
                    (_Rhs(ctx, math.nan, 0.0, SCN.pi_min, SCN.pi_max), state),
                    (_Rhs(ctx, SCN.pi_min), state + lam)):
-        wind.calls = {"wind_at": 0, "wind_gradients": 0}
+        wind.calls = {}
         rhs(s)
-        assert wind.calls == {"wind_at": 1, "wind_gradients": 1}
+        assert wind.calls == {"wind_and_gradients": 1}
 
     # 3 arcs of 20 RK4 steps of 4 stages each
     sched = ArcSchedule(t1=46.37, t2=6102.6, tf=6157.2, chi0=0.6937)
-    wind.calls = {"wind_at": 0, "wind_gradients": 0}
+    wind.calls = {}
     traj = integrate_arcs(ctx, sched, X0, 0.4, SCN.pi_min, SCN.pi_max,
                           steps_per_arc=20)
-    assert wind.calls == {"wind_at": 240, "wind_gradients": 240}
+    assert wind.calls == {"wind_and_gradients": 240}
     # joint sweeps over both bang arcs, plus one algebraic co-state solve
     # per singular sample and at the t1 junction
-    wind.calls = {"wind_at": 0, "wind_gradients": 0}
+    wind.calls = {}
     reconstruct_costates(ctx, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
-    assert wind.calls == {"wind_at": 160 + 21, "wind_gradients": 160}
+    assert wind.calls == {"wind_and_gradients": 160, "wind_at": 21}
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.0])
+def test_rollout_calls_the_feedback_once_per_singular_stage(monkeypatch,
+                                                            alpha):
+    """The rollout reaches the singular feedback through
+    `cruiseopt.integrate.evaluate_feedback`, once per RK4 stage of the
+    singular arc and nowhere else: a feedback-evaluation count taken by
+    wrapping that name reads 4 x steps per rollout."""
+    calls = []
+    feedback = integrate.evaluate_feedback
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return feedback(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "evaluate_feedback", spy)
+    sched = ArcSchedule(t1=46.37, t2=6102.6, tf=6157.2, chi0=0.6937)
+    for steps in (7, 20):
+        calls.clear()
+        integrate_arcs(CTX, sched, X0, alpha, SCN.pi_min, SCN.pi_max,
+                       steps_per_arc=steps)
+        assert len(calls) == 4 * steps
+    # a schedule without a singular arc never calls it
+    calls.clear()
+    integrate_arcs(CTX, bang_schedule(), X0, alpha, SCN.pi_min, SCN.pi_max,
+                   steps_per_arc=20)
+    assert calls == []
 
 
 def test_rollout_leaves_diagnostics_to_the_diagnostics_pass():
@@ -386,8 +422,7 @@ def test_endgame_residual_skips_the_first_arc_sweep():
     # the rollout (240 stages), one co-state solve per singular sample and
     # at the t1 junction (21), the forward sweep over the last arc (80);
     # reconstruct_costates also sweeps the first arc (80 more)
-    assert wind.calls == {"wind_at": 240 + 21 + 80,
-                          "wind_gradients": 240 + 80}
+    assert wind.calls == {"wind_and_gradients": 240 + 80, "wind_at": 21}
     assert shooting.n_fev == 1
 
 

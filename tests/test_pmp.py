@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cruiseopt.dynamics import eval_P, eval_Q
-from cruiseopt.errors import IllConditionedSystemError
-from cruiseopt.pmp import (STATE_SCALES, costate_rhs, evaluate_feedback,
-                           hamiltonian, legendre_clebsch, lie_B_D,
-                           scaled_det, singular_throttle,
+from cruiseopt.errors import (CruiseOptError, IllConditionedSystemError,
+                              SingularDenominatorError)
+from cruiseopt.pmp import (STATE_SCALES, costate_rhs,
+                           evaluate_feedback, hamiltonian, legendre_clebsch,
+                           lie_B_D, scaled_det, singular_throttle,
+                           singular_throttle_alpha0,
                            solve_costates_on_singular, switching_function)
 from cruiseopt.scenario import default_scenario_path, load_scenario, make_context
 
@@ -145,12 +147,18 @@ def test_adjugate_oracle_matches_closed_form_solve():
 def test_singular_feedback_throttle_is_weight_invariant():
     # the feedback ratio is homogeneous of degree zero in the co-state
     x, y, v, m, chi = 5e5, 2.5e5, 228.0, 53000.0, 0.65
-    wind = CTX.wind.wind_at(x, y)
-    grads = CTX.wind.wind_gradients(x, y)
-    fb1 = singular_throttle(CTX, v, m, chi, wind, grads, 0.1)
-    fb2 = singular_throttle(CTX, v, m, chi, wind, grads, 0.9)
-    assert fb1.throttle == pytest.approx(fb2.throttle, rel=1e-12)
-    assert fb1.lc / 0.1 == pytest.approx(fb2.lc / 0.9, rel=1e-12)
+    throttle = singular_throttle(CTX, v, m, chi,
+                                 CTX.wind.wind_and_gradients(x, y))
+    b, d = lie_B_D(CTX, x, y, v, m, chi)
+    lcs = []
+    for alpha in (0.1, 0.9):
+        lam = solve_costates_on_singular(CTX, x, y, v, m, chi,
+                                         alpha).as_tuple()
+        num = sum(lam[i] * b[i] for i in range(4))
+        den = sum(lam[i] * d[i] for i in range(4))
+        assert throttle == pytest.approx(-num / den, rel=1e-12)
+        lcs.append(legendre_clebsch(CTX, x, y, v, m, chi, lam) / alpha)
+    assert lcs[0] == pytest.approx(lcs[1], rel=1e-12)
 
 
 def test_legendre_clebsch_matches_direct_inner_product():
@@ -191,14 +199,20 @@ def test_scaled_det_bounded_by_one():
 
 
 def test_zero_weight_feedback_has_no_costate():
-    # dispatching on alpha: the zero-weight route reports the determinant
-    # it is transporting instead of a co-state vector
-    fb = evaluate_feedback(CTX, 5e5, 2.5e5, 228.0, 53000.0, 0.65, 0.0)
-    assert fb.lam is None
-    assert math.isnan(fb.lc)
-    assert math.isfinite(fb.throttle)
-    fb_pos = evaluate_feedback(CTX, 5e5, 2.5e5, 228.0, 53000.0, 0.65, 0.4)
-    assert fb_pos.lam is not None
+    # dispatching on alpha: the zero-weight route transports the
+    # determinant, because there is no algebraic co-state to solve for
+    x, y, v, m, chi = 5e5, 2.5e5, 228.0, 53000.0, 0.65
+    wg = CTX.wind.wind_and_gradients(x, y)
+    pi0 = evaluate_feedback(CTX, x, y, v, m, chi, 0.0)
+    assert math.isfinite(pi0)
+    assert pi0 == singular_throttle_alpha0(CTX, v, m, chi, wg)
+    with pytest.raises(ValueError):
+        solve_costates_on_singular(CTX, x, y, v, m, chi, 0.0)
+    assert evaluate_feedback(CTX, x, y, v, m, chi, 0.4) == singular_throttle(
+        CTX, v, m, chi, wg)
+    lam = solve_costates_on_singular(CTX, x, y, v, m, chi, 0.4)
+    assert math.isfinite(legendre_clebsch(CTX, x, y, v, m, chi,
+                                          lam.as_tuple()))
 
 
 # admissible states with every heading, including both sides of the poles of
@@ -223,14 +237,78 @@ def test_closed_forms_match_matrix_oracle(state):
             <= 1e-9 * np.max(np.abs(ref * scales)))
     det = scaled_det(CTX, *state)
     assert det == pytest.approx(pmp_oracle.scaled_det(CTX, *state), rel=1e-9)
-    fb = evaluate_feedback(CTX, *state, 0.4)
+    x, y, v, m, chi = state
+    fb = pmp_oracle.composed_feedback(CTX, v, m, chi, CTX.wind.wind_at(x, y),
+                                      CTX.wind.wind_gradients(x, y), 0.4)
     throttle, lc = pmp_oracle.singular_throttle(CTX, *state, 0.4)
+    lc_lib = legendre_clebsch(CTX, *state, tuple(lam))
+    # the feedback's guard reads the determinant and its denominator is
+    # the Legendre-Clebsch value over alpha
     assert fb.det_scaled == det
-    assert fb.lc == pytest.approx(
-        legendre_clebsch(CTX, *state, fb.lam), rel=1e-12)
-    assert fb.throttle == pytest.approx(throttle, rel=1e-9, abs=1e-9)
+    assert fb.lc == pytest.approx(lc_lib, rel=1e-12)
+    assert evaluate_feedback(CTX, *state, 0.4) == pytest.approx(
+        throttle, rel=1e-9, abs=1e-9)
     # the oracle's brackets carry central-difference error of about 1e-10
-    assert fb.lc == pytest.approx(lc, rel=1e-8)
+    assert lc_lib == pytest.approx(lc, rel=1e-8)
+
+
+def _feedback_outcome(fn):
+    """The value `fn()` returns, or the type, message and guard values of
+    the package error it raises, as a repr: equal reprs mean equal bits."""
+    try:
+        return repr(fn())
+    except CruiseOptError as exc:
+        return repr((type(exc), str(exc), getattr(exc, "det", None),
+                     getattr(exc, "cond", None)))
+
+
+# the wind and its gradients at (5e5, 2.5e5) on the shipped field
+_WG = (28.06934013605442, -11.79132222222222, -2.8973600000000003e-05,
+       5.370367346938776e-05, 6.899911111111111e-06, 2.8973600000000003e-05)
+FEEDBACK_INPUTS = st.tuples(
+    st.floats(50.0, 400.0), st.floats(30000.0, SCN.m0),
+    st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(_NEAR_POLES)),
+    st.one_of(
+        st.tuples(st.floats(0.0, SCN.xf), st.floats(0.0, SCN.yf)).map(
+            lambda p: CTX.wind.wind_and_gradients(*p)),
+        st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+                  *[st.floats(-1e-4, 1e-4)] * 4)))
+
+
+@given(FEEDBACK_INPUTS)
+# either side of |det| = EPS_DET, where the speed makes the co-state
+# system singular at 40 t and heading 0.65
+@example((168.54782764700983, 40000.0, 0.65, _WG))
+@example((168.54782764700985, 40000.0, 0.65, _WG))
+@example((168.5478586426646, 40000.0, 0.65, _WG))
+@example((168.54785864266464, 40000.0, 0.65, _WG))
+# either side of |<lambda, D>| = EPS_DEN, which an along-track wind of
+# about 1.1e11 m/s reaches by shrinking the co-state
+@example((200.0, 40000.0, 0.65, (112054006171.38957,) + _WG[1:]))
+@example((200.0, 40000.0, 0.65, (112054006171.38959,) + _WG[1:]))
+@example((200.0, 40000.0, 0.65, (-112054006310.7824,) + _WG[1:]))
+@example((200.0, 40000.0, 0.65, (-112054006310.78238,) + _WG[1:]))
+@settings(max_examples=300, deadline=None)
+def test_singular_throttle_is_bit_identical_to_composed_form(inputs):
+    """The written-out feedback returns the composed form's throttle bit for
+    bit, or raises its error with the same message and guard values."""
+    v, m, chi, wg = inputs
+    assert _feedback_outcome(
+        lambda: singular_throttle(CTX, v, m, chi, wg)) == _feedback_outcome(
+        lambda: pmp_oracle.composed_feedback(CTX, v, m, chi, wg[:2], wg[2:],
+                                             0.4).throttle)
+
+
+def test_feedback_inputs_reach_both_guards():
+    """The pinned examples above straddle both guards."""
+    singular_throttle(CTX, 168.54782764700983, 40000.0, 0.65, _WG)
+    with pytest.raises(IllConditionedSystemError):
+        singular_throttle(CTX, 168.54782764700985, 40000.0, 0.65, _WG)
+    singular_throttle(CTX, 200.0, 40000.0, 0.65,
+                      (112054006171.38957,) + _WG[1:])
+    with pytest.raises(SingularDenominatorError):
+        singular_throttle(CTX, 200.0, 40000.0, 0.65,
+                          (112054006171.38959,) + _WG[1:])
 
 
 @given(STATES,
@@ -256,7 +334,5 @@ def test_costate_rhs_matches_dense_jacobian_oracle(state, lam, pi):
 def test_zero_weight_throttle_matches_fd_determinant_transport(state):
     """The zero-weight throttle differentiates the same equilibrated
     determinant that `scaled_det` returns."""
-    fb = evaluate_feedback(CTX, *state, 0.0)
-    assert fb.det_scaled == scaled_det(CTX, *state)
-    assert fb.throttle == pytest.approx(
+    assert evaluate_feedback(CTX, *state, 0.0) == pytest.approx(
         pmp_oracle.throttle_alpha0(CTX, *state), rel=1e-7, abs=1e-7)

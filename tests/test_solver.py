@@ -1,6 +1,7 @@
 """Switching-point solver tests: decode, start grid, verification, sweeps."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,10 @@ from cruiseopt.errors import DegenerateGeometryError
 from cruiseopt.integrate import ArcSchedule, integrate_arcs
 from cruiseopt.pmp import TIME_SCALE
 from cruiseopt.scenario import Scenario
-from cruiseopt.solver import (SolverOptions, _LMShooting, _start_grid,
-                              chi0_constant_wind, realize_solution,
-                              solve_indirect, sweep_alpha, verify_solution)
+from cruiseopt.solver import (SolverOptions, VerifyTolerances, _LMShooting,
+                              _start_grid, chi0_constant_wind,
+                              realize_solution, solve_indirect, sweep_alpha,
+                              verify_solution)
 from cruiseopt.wind import ConstantWind
 
 from conftest import fast_options
@@ -97,6 +99,42 @@ def test_verify_report_round_trip(sol_04):
         rep.by_name("nonexistent_check")
     text = rep.summary()
     assert "PASS" in text and "FAIL" not in text
+
+
+def _windows(detail):
+    """The (arc, start, end) windows a check's detail names."""
+    return [(arc, float(a), float(b)) for arc, a, b in re.findall(
+        r"(first|singular|final) arc t in \[([-\d.]+), ([-\d.]+)\] s", detail)]
+
+
+def test_failing_checks_name_their_arcs_and_windows(sol_05):
+    """At alpha = 0.5 the flight leaves the envelope; tolerances that no
+    solution meets fail every co-state check as well.  Each failing check
+    names arcs and time windows that lie inside those arcs."""
+    sched = sol_05.schedule
+    spans = {"first": (0.0, sched.t1), "singular": (sched.t1, sched.t2),
+             "final": (sched.t2, sched.tf)}
+    env = verify_solution(sol_05).by_name("envelope_monitors")
+    assert env.passed is False
+    strict = verify_solution(sol_05, VerifyTolerances(
+        tol_H=0.0, tol_LC=-math.inf, tol_lam_m=0.0, tol_chi=0.0))
+    checks = [env] + [strict.by_name(name) for name in (
+        "hamiltonian_constancy", "legendre_clebsch",
+        "heading_costate_consistency")]
+    for check in checks:
+        assert check.passed is False
+        windows = _windows(check.detail)
+        assert windows, check
+        for arc, a, b in windows:
+            lo, hi = spans[arc]
+            assert lo - 0.05 <= a <= b <= hi + 0.05, check
+    # the Legendre-Clebsch value is checked on every singular sample
+    t_sing = sol_05.trajectory.t[sol_05.trajectory.arc_id == 1]
+    assert _windows(checks[2].detail) == [
+        ("singular", float(f"{t_sing[0]:.1f}"), float(f"{t_sing[-1]:.1f}"))]
+    lam_m = strict.by_name("transversality_lam_m")
+    assert lam_m.passed is False
+    assert f"at tf={sched.tf:.1f} s" in lam_m.detail
 
 
 def _rotated(scn, sched, bearing):

@@ -1,12 +1,19 @@
-"""Wind field tests: divergence-free construction and gradient oracles."""
+"""Wind field tests: divergence-free construction, gradient oracles, the
+fused lookup and the textbook-form oracle."""
+
+import json
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wind_oracle
 from cruiseopt.errors import ValidationError
-from cruiseopt.scenario import default_scenario_path, load_scenario
+from cruiseopt.scenario import (default_scenario_path, load_scenario,
+                                save_scenario)
 from cruiseopt.wind import ConstantWind, PolynomialWind
 
 SCN = load_scenario(default_scenario_path())
@@ -95,3 +102,68 @@ def test_divergence_free_property(x, y):
     grads = _fd_gradients(WIND, x, y)
     scale = max(abs(g) for g in grads)
     assert abs(grads[0] + grads[3]) / scale < 1e-10
+
+
+def _points(field):
+    """Positions over [-0.5, 2.5] times the field's scales."""
+    return st.tuples(st.floats(-0.5, 2.5), st.floats(-0.5, 2.5)).map(
+        lambda p: (p[0] * field.x_f, p[1] * field.y_f))
+
+
+@given(_points(WIND), st.sampled_from([WIND, ConstantWind(40.0, -20.0)]))
+@settings(max_examples=200)
+def test_fused_lookup_is_the_separate_lookups(point, field):
+    x, y = point
+    wg = field.wind_and_gradients(x, y)
+    # repr: equal bits, signed zeros included
+    assert repr(wg) == repr(field.wind_at(x, y) + field.wind_gradients(x, y))
+    if isinstance(field, PolynomialWind):
+        assert repr(wg[5]) == repr(-wg[2])
+
+
+COEFF = st.floats(-1.0, 1.0)
+FIELDS = st.one_of(st.just(WIND), st.builds(
+    PolynomialWind, COEFF, COEFF, COEFF, COEFF, COEFF, COEFF, COEFF, COEFF,
+    st.floats(-60.0, 60.0), st.floats(-60.0, 60.0),
+    st.floats(1e5, 3e6), st.floats(1e5, 3e6)))
+
+
+@given(FIELDS, st.floats(-0.5, 2.5), st.floats(-0.5, 2.5))
+@settings(max_examples=300)
+def test_expanded_form_matches_the_textbook_form(field, u, w):
+    """The dimensional monomials agree with the normalized definition to
+    rounding: within 1e-12 of |wxb| + |wyb| for the wind, and of that over
+    min(x_f, y_f) for its gradients (the shipped field: 1.4e-13 m/s and
+    8e-20 1/s)."""
+    x, y = u * field.x_f, w * field.y_f
+    scale = abs(field.wxb) + abs(field.wyb)
+    ref = wind_oracle.wind_at(field, x, y)
+    assert (np.max(np.abs(np.subtract(field.wind_at(x, y), ref)))
+            <= 1e-12 * scale)
+    ref = wind_oracle.wind_gradients(field, x, y)
+    assert (np.max(np.abs(np.subtract(field.wind_gradients(x, y), ref)))
+            <= 1e-12 * scale / min(field.x_f, field.y_f))
+
+
+def test_cached_coefficients_stay_out_of_the_fields_identity(tmp_path):
+    params = {f.name: getattr(WIND, f.name) for f in fields(WIND) if f.init}
+    assert repr(WIND) == "PolynomialWind(" + ", ".join(
+        f"{k}={v!r}" for k, v in params.items()) + ")"
+    twin = PolynomialWind(**params)
+    assert twin == WIND and hash(twin) == hash(WIND)
+    point = (4.1e5, 3.3e5)
+    back = pickle.loads(pickle.dumps(WIND))
+    assert back == WIND
+    assert repr(back.wind_and_gradients(*point)) == repr(
+        WIND.wind_and_gradients(*point))
+    # replace() recomputes the coefficients from the new parameters
+    moved = replace(WIND, a2=0.5, x_f=2.0e6)
+    assert moved != WIND
+    assert moved.wind_at(*point) == pytest.approx(
+        wind_oracle.wind_at(moved, *point), rel=1e-14)
+    # the scenario file carries the parameters only
+    save_scenario(SCN, tmp_path / "s.json")
+    saved = json.loads((tmp_path / "s.json").read_text())["wind"]
+    assert saved == {"type": "polynomial", **{
+        {"wxb": "wxb_mps", "wyb": "wyb_mps", "x_f": "x_scale_m",
+         "y_f": "y_scale_m"}.get(k, k): v for k, v in params.items()}}
