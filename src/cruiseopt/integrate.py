@@ -391,16 +391,19 @@ def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,
     n = len(traj.t)
     S, H, lc, det, mach = (np.full(n, np.nan) for _ in range(5))
     ok = np.zeros(n, dtype=bool)
-    lams = (np.full((n, 4), np.nan) if traj.costates is None
-            else traj.costates).tolist()
-    for i, (x, y, v, m, chi) in enumerate(traj.states.tolist()):
+    # plain floats one row at a time: all rows as lists at once would hold
+    # half a megabyte at 400 steps per arc
+    for i in range(n):
+        x, y, v, m, chi = traj.states[i].tolist()
         if traj.arc_id[i] == 1:
             pi = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
             traj.throttle[i] = min(max(pi, pi_min), pi_max)
         det[i] = scaled_det(ctx, x, y, v, m, chi)
         env = check_envelope(ctx.model, ctx.atm, v, ctx.h)
         mach[i], ok[i] = env.mach, env.ok
-        li = lams[i]
+        if traj.costates is None:
+            continue
+        li = traj.costates[i].tolist()
         if not all(map(math.isfinite, li)):
             continue
         S[i] = switching_function(ctx, v, m, li)
