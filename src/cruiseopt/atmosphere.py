@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import DomainError, ModelInconsistencyError, ValidationError
 
 
@@ -123,7 +125,7 @@ def calibrated_airspeed(atm: Atmosphere, v: float, h: float) -> float:
     # impact pressure from Mach, then invert at sea level
     qc = p * ((1.0 + 0.5 * (k - 1.0) * mach * mach) ** (k / (k - 1.0)) - 1.0)
     a0 = math.sqrt(k * atm.R * atm.Theta0)
-    return a0 * math.sqrt(
+    return a0 * np.sqrt(
         (2.0 / (k - 1.0)) * ((qc / atm.P0 + 1.0) ** ((k - 1.0) / k) - 1.0)
     )
 
@@ -141,16 +143,15 @@ class EnvelopeReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.mach_low_ok and self.mach_high_ok
-            and self.cas_low_ok and self.cas_high_ok
-        )
+        return (self.mach_low_ok & self.mach_high_ok
+                & self.cas_low_ok & self.cas_high_ok)
 
 
 def check_envelope(
     model: AircraftModel, atm: Atmosphere, v: float, h: float
 ) -> EnvelopeReport:
-    """Evaluate the Mach/CAS flight-envelope monitors at (v, h)."""
+    """Evaluate the Mach/CAS flight-envelope monitors at (v, h); `v` may be
+    an array of airspeeds."""
     mach = mach_number(atm, v, h)
     cas = calibrated_airspeed(atm, v, h)
     return EnvelopeReport(

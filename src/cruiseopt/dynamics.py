@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .atmosphere import (
     AircraftModel,
     Atmosphere,
@@ -63,10 +65,10 @@ class CruiseContext:
 
 def eval_Q(ctx: CruiseContext, x: float, y: float, v: float, m: float,
            chi: float) -> tuple[float, float, float, float]:
-    """Drift field (throttle-independent part of the dynamics)."""
+    """Drift field (throttle-independent part), at states or arrays."""
     wx, wy = ctx.wind.wind_at(x, y)
-    return (v * math.cos(chi) + wx,
-            v * math.sin(chi) + wy,
+    return (v * np.cos(chi) + wx,
+            v * np.sin(chi) + wy,
             -ctx.drag(m, v) / m,
             0.0)
 

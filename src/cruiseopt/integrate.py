@@ -17,13 +17,19 @@ the generic tuple form it replaced, so results are bit-identical to it.
 Each RK4 stage makes one fused lookup of the wind and its gradients
 (`wind_and_gradients`), which feeds the dynamics, the heading rate, the
 singular feedback and the co-state equation.  A rollout records
-states and throttles only; one diagnostics pass over a realized trajectory
-(`diagnose`) fills the exact singular throttle, the switching function,
-Hamiltonian, Legendre-Clebsch value, determinant, Mach number and envelope
-flags.
+states and throttles only.
+
+After a rollout the closed forms run once per arc on NumPy arrays, not once
+per sample.  The algebraic co-state on the singular arc is one
+`solve_costates_on_singular` call on the arc's state columns, which seeds
+the joint sweeps over the bang arcs (they step plain floats again).  The
+diagnostics pass over a realized trajectory (`diagnose`) refills the exact
+singular throttle one sample at a time on plain floats, then computes the
+determinant, Mach number, envelope flags, switching function, Hamiltonian
+and Legendre-Clebsch value as array expressions over all samples.
 
 The shooting residual reads only the co-state at tf, so `terminal_costate`
-runs just the singular-arc solves and the forward sweep over the final arc,
+runs just the singular-arc solve and the forward sweep over the final arc,
 the two steps it shares with `reconstruct_costates`, and skips the backward
 sweep over the first arc.
 """
@@ -305,7 +311,8 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
 def _singular_costates(ctx: CruiseContext, traj: Trajectory,
                        schedule: ArcSchedule, alpha: float):
     """The algebraic co-state at the t1 junction sample and at each singular
-    sample, as (index of the junction sample, list of co-states).
+    sample, as (index of the junction sample, array of co-state rows), from
+    one solve over the arc's state columns.
 
     Raises when the weight or the schedule leaves no co-state to
     reconstruct, and, through the determinant guard of the solve, at an
@@ -320,9 +327,9 @@ def _singular_costates(ctx: CruiseContext, traj: Trajectory,
     if not (schedule.t1 < schedule.t2 and mid):
         raise ValidationError("co-state reconstruction requires a singular arc")
     first = mid[0] - 1 if mid[0] > 0 else 0
-    lams = [solve_costates_on_singular(ctx, x, y, v, m, chi, alpha).as_tuple()
-            for x, y, v, m, chi in traj.states[first:mid[-1] + 1]]
-    return first, lams
+    x, y, v, m, chi = traj.states[first:mid[-1] + 1].T
+    lam = solve_costates_on_singular(ctx, x, y, v, m, chi, alpha)
+    return first, np.column_stack(lam.as_tuple())
 
 
 def _final_arc_costates(ctx: CruiseContext, traj: Trajectory,
@@ -344,8 +351,8 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
                          pi_min: float, pi_max: float) -> Trajectory:
     """Fill the co-state samples of a converged trajectory.
 
-    On the singular arc the co-state comes from the algebraic solve at each
-    sample; the bang arcs are covered by integrating the joint
+    On the singular arc the co-state comes from the algebraic solve over its
+    samples; the bang arcs are covered by integrating the joint
     state/co-state system backward from t1 and forward from t2.
     """
     first, lams = _singular_costates(ctx, traj, schedule, alpha)
@@ -380,34 +387,30 @@ def terminal_costate(ctx: CruiseContext, traj: Trajectory,
 
 def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,
              pi_min: float, pi_max: float) -> None:
-    """Fill the diagnostic columns of a realized trajectory in one pass.
+    """Fill the diagnostic columns of a realized trajectory.
 
-    Every sample gets the equilibrated determinant, Mach and the envelope
-    flag; singular-arc samples get the exact clamped feedback throttle at
-    the stored state (the rollout stores the value of the last RK4 stage);
-    samples with reconstructed co-states get S, H and the Legendre-Clebsch
-    value.
+    Singular-arc samples first get the exact clamped feedback throttle at
+    the stored state (the rollout stores the value of the last RK4 stage),
+    one sample at a time on plain floats.  The rest is one pass of array
+    expressions over all samples: every sample gets the equilibrated
+    determinant, Mach and the envelope flag; samples with a finite
+    reconstructed co-state row get S, H and the Legendre-Clebsch value.
     """
-    n = len(traj.t)
-    S, H, lc, det, mach = (np.full(n, np.nan) for _ in range(5))
-    ok = np.zeros(n, dtype=bool)
-    # plain floats one row at a time: all rows as lists at once would hold
-    # half a megabyte at 400 steps per arc
-    for i in range(n):
+    # the feedback is a plain-float kernel
+    for i in np.flatnonzero(traj.arc_id == 1).tolist():
         x, y, v, m, chi = traj.states[i].tolist()
-        if traj.arc_id[i] == 1:
-            pi = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
-            traj.throttle[i] = min(max(pi, pi_min), pi_max)
-        det[i] = scaled_det(ctx, x, y, v, m, chi)
-        env = check_envelope(ctx.model, ctx.atm, v, ctx.h)
-        mach[i], ok[i] = env.mach, env.ok
-        if traj.costates is None:
-            continue
-        li = traj.costates[i].tolist()
-        if not all(map(math.isfinite, li)):
-            continue
-        S[i] = switching_function(ctx, v, m, li)
-        H[i] = hamiltonian(ctx, x, y, v, m, chi, traj.throttle[i], li)
-        lc[i] = legendre_clebsch(ctx, x, y, v, m, chi, li)
-    traj.S, traj.H, traj.lc, traj.detM = S, H, lc, det
-    traj.mach, traj.envelope_ok = mach, ok
+        pi = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
+        traj.throttle[i] = min(max(pi, pi_min), pi_max)
+    x, y, v, m, chi = traj.states.T
+    traj.detM = scaled_det(ctx, x, y, v, m, chi)
+    env = check_envelope(ctx.model, ctx.atm, v, ctx.h)
+    traj.mach, traj.envelope_ok = env.mach, env.ok
+    S, H, lc = (np.full(len(traj.t), np.nan) for _ in range(3))
+    if traj.costates is not None:
+        live = np.isfinite(traj.costates).all(axis=1)
+        x, y, v, m, chi = traj.states[live].T
+        lam, pi = traj.costates[live].T, traj.throttle[live]
+        S[live] = switching_function(ctx, v, m, lam)
+        H[live] = hamiltonian(ctx, x, y, v, m, chi, pi, lam)
+        lc[live] = legendre_clebsch(ctx, x, y, v, m, chi, lam)
+    traj.S, traj.H, traj.lc = S, H, lc

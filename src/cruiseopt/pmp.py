@@ -24,18 +24,26 @@ planar columns along and across the heading turns that determinant into a
 3x3 minor over three row norms, which the zero-weight feedback
 differentiates along the flow by the quotient rule.
 
-The generic feedback runs at every singular-arc RK4 stage, so
-`singular_throttle` writes the determinant, co-state and bracket algebra
-out in one function that returns only the throttle, in the operation order
-of the composed helpers that `scaled_det`, `solve_costates_on_singular`
-and `lie_B_D` use; both feedback forms take the wind and its gradients as
-one `wind_and_gradients` tuple.
+The rollout evaluates the feedback at every singular-arc RK4 stage on
+plain floats: `singular_throttle` writes the determinant, co-state and
+bracket algebra out in one function that returns only the throttle, in the
+operation order of the composed helpers, and `singular_throttle_alpha0`
+composes `_system` with the heading's cosine and sine from `math`; both
+take the wind and its gradients as one `wind_and_gradients` tuple.  The
+post-rollout checks run once per arc on NumPy arrays of states:
+`_polar`, `_system`, `_brackets`, `scaled_det`, `solve_costates_on_singular`
+(guarded at the first failing state), `hamiltonian`, `switching_function`,
+`lie_B_D` and `legendre_clebsch` use arithmetic and NumPy ufuncs only, so
+each takes one state or arrays of states by the same expressions, with a
+co-state `lam` indexed by component ((4, n) for n states).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from .errors import DegenerateArcError, IllConditionedSystemError, SingularDenominatorError
@@ -52,6 +60,8 @@ EPS_DEN = 1.0e-12   # on the feedback denominator (unit-costate normalization)
 
 @dataclass(frozen=True)
 class Costate:
+    """A co-state, at one state or, from an array solve, over states."""
+
     lam_x: float
     lam_y: float
     lam_v: float
@@ -148,25 +158,25 @@ def lie_B_D(ctx: CruiseContext, x: float, y: float, v: float, m: float,
     and m columns of dA/dX are nonzero and Q has no mass component, so
     (dA/dX) Q = Q_v dA/dv and (dA/dX) P = P_v dA/dv + P_m dA/dm.
     """
-    return _brackets(ctx, m, math.cos(chi), math.sin(chi), _polar(ctx, v, m),
+    return _brackets(ctx, m, np.cos(chi), np.sin(chi), _polar(ctx, v, m),
                      ctx.wind.wind_gradients(x, y))
 
 
-def _system(ctx: CruiseContext, wind, v: float, m: float, chi: float):
-    """The singular-arc system at one state with wind `wind` = (w_x, w_y),
-    resolved along and across the heading.
+def _system(ctx: CruiseContext, wind, v, m, c, s):
+    """The singular-arc system at states with wind `wind` = (w_x, w_y) and
+    heading cosine c and sine s, resolved along and across the heading.
 
-    Returns (c, s, vg, wn, polar, k, delta, rows, norms, det): the
-    heading's cosine and sine, the ground speed along the heading and the
-    wind across it, the `_polar` tuple, the co-state factor k, the
-    denominator delta = k V_g - C_s D, the column-scaled P, A and Q rows
-    without their zero entries, their squared 2-norms, and the equilibrated
-    determinant.  In this frame the heading row is (0, -1, 0, 0) and the
-    planar parts of P, A and Q are (0, 0), (-T/m, 0) and (V_g, W_n), so
-    det M = -(T/m)^2 delta; the heading row's scaled norm is 1 / s_x.
+    Returns (c, s, vg, wn, polar, k, delta, rows, norms): the heading's
+    cosine and sine, the ground speed along the heading and the wind across
+    it, the `_polar` tuple, the co-state factor k, the denominator
+    delta = k V_g - C_s D, the column-scaled P, A and Q rows without their
+    zero entries and their squared 2-norms.  In this frame the heading row
+    is (0, -1, 0, 0) and the planar parts of P, A and Q are (0, 0),
+    (-T/m, 0) and (V_g, W_n), so det M = -(T/m)^2 delta; the heading row's
+    scaled norm is 1 / s_x.  `_det` takes the determinant's square root,
+    which the zero-weight feedback does not read.
     """
     wx, wy = wind
-    c, s = math.cos(chi), math.sin(chi)
     vg = v + wx * c + wy * s
     wn = wy * c - wx * s
     pol = _polar(ctx, v, m)
@@ -180,41 +190,50 @@ def _system(ctx: CruiseContext, wind, v: float, m: float, chi: float):
     q0, q1, q2 = vg / _SX, wn / _SX, drag / (m * _SV)
     norms = (p0 * p0 + p1 * p1, r0 * r0 + r1 * r1 + r2 * r2,
              q0 * q0 + q1 * q1 + q2 * q2)
-    det = -tm * tm * delta / (_SX * _SV * _SM * math.sqrt(
-        norms[0] * norms[1] * norms[2]))
     return (c, s, vg, wn, pol, k, delta, (p0, p1, r0, r1, r2, q0, q1, q2),
-            norms, det)
+            norms)
 
 
-def scaled_det(ctx: CruiseContext, x: float, y: float, v: float, m: float,
-               chi: float) -> float:
+def _det(ctx: CruiseContext, m, sysm):
+    """The equilibrated determinant of a `_system` tuple."""
+    tm, (n0, n1, n2) = ctx.T_max / m, sysm[8]
+    return -tm * tm * sysm[6] / (_SX * _SV * _SM * np.sqrt(n0 * n1 * n2))
+
+
+def scaled_det(ctx: CruiseContext, x, y, v, m, chi):
     """Determinant of the equilibrated system matrix (bounded by 1): rows P,
     A, Q with the mass slot zeroed and (sin chi, -cos chi, 0, 0), scaled
     column-wise by STATE_SCALES and then to unit row 2-norm."""
-    return _system(ctx, ctx.wind.wind_at(x, y), v, m, chi)[9]
+    return _det(ctx, m, _system(ctx, ctx.wind.wind_at(x, y), v, m,
+                                np.cos(chi), np.sin(chi)))
 
 
-def _unit_costate(m: float, sysm, eps_det: float):
+def _unit_costate(ctx: CruiseContext, m, sysm, eps_det: float):
     """Unit-weight co-state from a `_system` tuple, guarded on its
-    determinant."""
-    c, s, _, _, pol, k, delta, _, _, det = sysm
-    if abs(det) < eps_det:
+    determinant; over arrays of states the first state below the guard
+    raises."""
+    c, s, _, _, pol, k, delta, _, _ = sysm
+    det = _det(ctx, m, sysm)
+    bad = np.flatnonzero(np.abs(det) < eps_det)
+    if bad.size:
+        d = float(np.ravel(det)[bad[0]])
         # unit rows: 1/|det| stands in for the condition number
-        raise IllConditionedSystemError(
-            det, 1.0 / abs(det) if det else math.inf)
+        raise IllConditionedSystemError(d, 1.0 / abs(d) if d else math.inf)
     lam_m = -1.0 / delta
     rho = k * lam_m
     return rho * c, rho * s, m * pol[0] * lam_m, lam_m
 
 
-def solve_costates_on_singular(ctx: CruiseContext, x: float, y: float,
-                               v: float, m: float, chi: float, alpha: float,
+def solve_costates_on_singular(ctx: CruiseContext, x, y, v, m, chi,
+                               alpha: float,
                                eps_det: float = EPS_DET) -> Costate:
-    """Co-state on the singular arc for cost weight alpha > 0."""
+    """Co-state on the singular arc for cost weight alpha > 0, at one state
+    or, with each coordinate an array, at every state at once."""
     if alpha <= 0.0:
         raise ValueError("algebraic co-state solve requires alpha > 0")
-    lx, ly, lv, lm = _unit_costate(
-        m, _system(ctx, ctx.wind.wind_at(x, y), v, m, chi), eps_det)
+    sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, np.cos(chi),
+                   np.sin(chi))
+    lx, ly, lv, lm = _unit_costate(ctx, m, sysm, eps_det)
     return Costate(alpha * lx, alpha * ly, alpha * lv, alpha * lm)
 
 
@@ -305,8 +324,8 @@ def singular_throttle_alpha0(ctx: CruiseContext, v: float, m: float,
     wind, grads = wg[:2], wg[2:]
     chidot = zermelo_rhs(chi, grads)
     tmax, cs_v = ctx.T_max, ctx.cs_slope
-    (c, s, vg, wn, pol, k, delta, rows, (np2, na2, nq2),
-     _) = _system(ctx, wind, v, m, chi)
+    (c, s, vg, wn, pol, k, delta, rows, (np2, na2, nq2)) = _system(
+        ctx, wind, v, m, math.cos(chi), math.sin(chi))
     cs, drag, d_v, d_m, a_v, a_m, av_v, av_m, am_v, am_m = pol
     p0, p1, r0, r1, r2, q0, q1, q2 = rows
     tm = tmax / m

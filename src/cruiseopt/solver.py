@@ -543,7 +543,7 @@ def verify_solution(sol: Solution,
         elif smin <= -tol.tol_S_sign:
             detail = "S sign violated on min throttle: " + _where(
                 traj, on_min & (traj.S <= -tol.tol_S_sign))
-        worst = max(smax, -smin if smin is not math.inf else -math.inf, ssing)
+        worst = max(smax, -smin, ssing)
         rep.checks.append(CheckResult(
             "switching_structure", ok, worst, tol.tol_S, detail))
     else:

@@ -14,20 +14,27 @@ co-states must match these bit for bit, failures included.
 `shooting_residual` is the shooting solve's residual as it was computed
 through the full `reconstruct_costates`, backward sweep over the first arc
 included.
+
+`singular_costates`, `terminal_costate` and `diagnose` are the library's
+post-rollout algebra as it ran before it became array expressions over
+whole arcs: one call of the closed forms per sample.  The array forms must
+match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from cruiseopt.atmosphere import check_envelope
 from cruiseopt.dynamics import CruiseContext, eval_F, zermelo_rhs
 from cruiseopt.errors import CruiseOptError, IntegrationError, ValidationError
-from cruiseopt.integrate import ArcSchedule, Trajectory
+from cruiseopt.integrate import ArcSchedule, Trajectory, _final_arc_costates
 from cruiseopt.integrate import reconstruct_costates as lib_reconstruct
 from cruiseopt.integrate import integrate_arcs as lib_integrate
-from cruiseopt.pmp import (STATE_SCALES, costate_rhs,
+from cruiseopt.pmp import (STATE_SCALES, costate_rhs, evaluate_feedback,
+                           hamiltonian, legendre_clebsch, scaled_det,
                            singular_throttle_alpha0,
-                           solve_costates_on_singular)
+                           solve_costates_on_singular, switching_function)
 
 from pmp_oracle import composed_feedback
 
@@ -195,3 +202,54 @@ def shooting_residual(shooting, z, with_costate: bool):
         return r
     except CruiseOptError:
         return None
+
+
+def singular_costates(ctx: CruiseContext, traj: Trajectory,
+                      schedule: ArcSchedule, alpha: float):
+    """(index of the t1 junction sample, list of co-states) from one
+    algebraic solve per sample, junction sample included."""
+    if alpha <= 0.0:
+        raise ValidationError("co-state reconstruction requires alpha > 0")
+    mid = np.flatnonzero(traj.arc_id == 1).tolist()
+    if not (schedule.t1 < schedule.t2 and mid):
+        raise ValidationError("co-state reconstruction requires a singular arc")
+    first = mid[0] - 1 if mid[0] > 0 else 0
+    lams = [solve_costates_on_singular(ctx, x, y, v, m, chi, alpha).as_tuple()
+            for x, y, v, m, chi in traj.states[first:mid[-1] + 1]]
+    return first, lams
+
+
+def terminal_costate(ctx: CruiseContext, traj: Trajectory,
+                     schedule: ArcSchedule, alpha: float, pi_min: float):
+    """The co-state at tf from the per-sample singular-arc solves and the
+    library's forward sweep over the final arc."""
+    first, lams = singular_costates(ctx, traj, schedule, alpha)
+    tail = _final_arc_costates(ctx, traj, schedule, first + len(lams) - 1,
+                               lams[-1], pi_min)
+    return (tail or lams)[-1]
+
+
+def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,
+             pi_min: float, pi_max: float) -> None:
+    """The diagnostic columns filled one sample at a time on plain floats."""
+    n = len(traj.t)
+    S, H, lc, det, mach = (np.full(n, np.nan) for _ in range(5))
+    ok = np.zeros(n, dtype=bool)
+    for i in range(n):
+        x, y, v, m, chi = traj.states[i].tolist()
+        if traj.arc_id[i] == 1:
+            pi = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
+            traj.throttle[i] = min(max(pi, pi_min), pi_max)
+        det[i] = scaled_det(ctx, x, y, v, m, chi)
+        env = check_envelope(ctx.model, ctx.atm, v, ctx.h)
+        mach[i], ok[i] = env.mach, env.ok
+        if traj.costates is None:
+            continue
+        li = traj.costates[i].tolist()
+        if not all(map(math.isfinite, li)):
+            continue
+        S[i] = switching_function(ctx, v, m, li)
+        H[i] = hamiltonian(ctx, x, y, v, m, chi, traj.throttle[i], li)
+        lc[i] = legendre_clebsch(ctx, x, y, v, m, chi, li)
+    traj.S, traj.H, traj.lc, traj.detM = S, H, lc, det
+    traj.mach, traj.envelope_ok = mach, ok

@@ -12,7 +12,8 @@ them; the library reaches the same algebra through `pmp._polar` and
 `pmp._system`.
 
 `composed_feedback` is the generic singular feedback as the library
-composed it from `pmp._system`, `pmp._unit_costate` and `pmp._brackets`
+composed it from `pmp._system`, `pmp._det`, `pmp._unit_costate` and
+`pmp._brackets`
 before `pmp.singular_throttle` wrote that composition out; the written-out
 throttle must equal its throttle bit for bit, errors included.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from cruiseopt.dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from cruiseopt.errors import SingularDenominatorError
 from cruiseopt.pmp import (EPS_DEN, EPS_DET, STATE_SCALES, Costate, _brackets,
-                          _polar, _system, _unit_costate)
+                          _det, _polar, _system, _unit_costate)
 
 from model_oracle import jacobian_P, jacobian_Q
 
@@ -51,8 +52,9 @@ def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
     determinant.  The physical co-state for weight alpha is alpha times
     this vector.
     """
-    sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, chi)
-    return _unit_costate(m, sysm, eps_det), sysm[9]
+    sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, math.cos(chi),
+                   math.sin(chi))
+    return _unit_costate(ctx, m, sysm, eps_det), _det(ctx, m, sysm)
 
 
 class FeedbackEval(NamedTuple):
@@ -69,8 +71,8 @@ def composed_feedback(ctx: CruiseContext, v: float, m: float, chi: float,
     """Feedback throttle on the singular arc, composed from the library's
     system, unit co-state and bracket helpers; `wind` and `grads` are the
     wind and its gradients at the position."""
-    sysm = _system(ctx, wind, v, m, chi)
-    lx, ly, lv, lm = _unit_costate(m, sysm, EPS_DET)
+    sysm = _system(ctx, wind, v, m, math.cos(chi), math.sin(chi))
+    lx, ly, lv, lm = _unit_costate(ctx, m, sysm, EPS_DET)
     b, d = _brackets(ctx, m, sysm[0], sysm[1], sysm[4], grads)
     num = lx * b[0] + ly * b[1] + lv * b[2] + lm * b[3]
     den = lx * d[0] + ly * d[1] + lv * d[2] + lm * d[3]
@@ -80,7 +82,7 @@ def composed_feedback(ctx: CruiseContext, v: float, m: float, chi: float,
         )
     return FeedbackEval(-num / den,
                         (alpha * lx, alpha * ly, alpha * lv, alpha * lm),
-                        sysm[9], -alpha * den)
+                        _det(ctx, m, sysm), -alpha * den)
 
 
 def costate_rhs(ctx, x, y, v, m, chi, throttle, lam):

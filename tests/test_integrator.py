@@ -3,6 +3,7 @@ bit-identity with the oracle stepper, and the shooting solve's terminal
 co-state."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import integrate_oracle
 from cruiseopt import integrate
-from cruiseopt.atmosphere import check_envelope
+from cruiseopt.atmosphere import calibrated_airspeed, check_envelope
 from cruiseopt.errors import (CruiseOptError, IllConditionedSystemError,
                               IntegrationError, ValidationError)
 from cruiseopt.integrate import (ArcSchedule, Trajectory, _Rhs, diagnose,
@@ -201,10 +202,11 @@ def test_each_rhs_stage_looks_the_wind_up_once():
                           steps_per_arc=20)
     assert wind.calls == {"wind_and_gradients": 240}
     # joint sweeps over both bang arcs, plus one algebraic co-state solve
-    # per singular sample and at the t1 junction
+    # over the singular samples and the t1 junction, with one wind lookup
+    # for all of them
     wind.calls = {}
     reconstruct_costates(ctx, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
-    assert wind.calls == {"wind_and_gradients": 160, "wind_at": 21}
+    assert wind.calls == {"wind_and_gradients": 160, "wind_at": 1}
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.0])
@@ -419,26 +421,162 @@ def test_endgame_residual_skips_the_first_arc_sweep():
     sched = COMMITTED["0.4"][2]
     shooting = _LMShooting(ctx, SCN, 0.4, 20)
     shooting.residual(_decision(sched), True)
-    # the rollout (240 stages), one co-state solve per singular sample and
-    # at the t1 junction (21), the forward sweep over the last arc (80);
-    # reconstruct_costates also sweeps the first arc (80 more)
-    assert wind.calls == {"wind_and_gradients": 240 + 80, "wind_at": 21}
+    # the rollout (240 stages), one co-state solve over the singular
+    # samples and the t1 junction (1), the forward sweep over the last arc
+    # (80); reconstruct_costates also sweeps the first arc (80 more)
+    assert wind.calls == {"wind_and_gradients": 240 + 80, "wind_at": 1}
     assert shooting.n_fev == 1
 
 
 def test_costate_sweeps_step_plain_floats(monkeypatch):
-    """NumPy scalars (from a NumPy step count) give the same bits at
-    several times the cost per operation."""
+    """NumPy scalars (from a NumPy step count, or from the co-state rows
+    that seed the sweeps) give the same bits at several times the cost per
+    operation: the joint sweeps of `reconstruct_costates` and
+    `terminal_costate` step and return tuples of plain floats."""
     types = set()
     call = _Rhs.__call__
+    rk4 = integrate._rk4
+    sweeps = []
 
     def spy(self, s):
         types.update(map(type, s))
         return call(self, s)
 
+    def rk4_spy(rhs, s0, t0, t1, n_steps):
+        states, throttles = rk4(rhs, s0, t0, t1, n_steps)
+        if len(s0) == 9:
+            sweeps.append(states)
+        return states, throttles
+
     monkeypatch.setattr(_Rhs, "__call__", spy)
+    monkeypatch.setattr(integrate, "_rk4", rk4_spy)
     sched = COMMITTED["0.4"][2]
     traj = integrate_arcs(CTX, sched, X0, 0.4, SCN.pi_min, SCN.pi_max,
                           steps_per_arc=20)
     reconstruct_costates(CTX, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
+    lam_f = terminal_costate(CTX, traj, sched, 1.0, SCN.pi_min)
     assert types == {float}
+    # backward and forward sweep, then the forward sweep alone
+    assert [len(chain) for chain in sweeps] == [20, 20, 20]
+    assert all(type(st) is tuple and all(type(v) is float for v in st)
+               for chain in sweeps for st in chain)
+    assert all(type(v) is float for v in lam_f)
+
+
+def _bits(a):
+    """The bytes of a float array, with every NaN made the same NaN."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _failure_or(fn):
+    """The bits `fn()` returns, or the type, message and guard values of
+    the package error it raises."""
+    try:
+        return _bits(fn())
+    except CruiseOptError as exc:
+        return (type(exc), str(exc), getattr(exc, "det", None),
+                getattr(exc, "cond", None))
+
+
+def _post_rollout_case(request, case):
+    """(scenario, cost weight, schedule) of one array-pass test case."""
+    fixture = {"0.1": "sol_01", "0.4": "sol_04", "0.5": "sol_05",
+               "cw": "sol_cw"}.get(case)
+    if fixture is not None:
+        sol = request.getfixturevalue(fixture)
+        return sol.scenario, sol.alpha, sol.schedule
+    wind, alpha, sched = COMMITTED["0" if case == "0" else "0.4"]
+    if case == "t1=t2":
+        # a short idle arc: long ones decelerate through the stall floor
+        sched = replace(sched, t2=sched.t1, tf=250.0)
+    elif case == "no final arc":
+        sched = replace(sched, tf=sched.t2)
+    return SCENARIOS[wind], alpha, sched
+
+
+@pytest.mark.parametrize("steps", [40, 400])
+@pytest.mark.parametrize("case", ["0.1", "0.4", "0.5", "cw", "0", "t1=t2",
+                                  "no final arc"])
+def test_array_pass_matches_the_per_sample_oracle(request, case, steps):
+    """The singular-arc co-states, the terminal co-state and every
+    diagnostic column, from array expressions over whole arcs, equal the
+    per-sample loops bit for bit.  Two co-state rows are made non-finite
+    before the diagnostics, which must leave S, H and lc NaN there."""
+    scn, alpha, sched = _post_rollout_case(request, case)
+    ctx = make_context(scn)
+    traj = integrate_arcs(ctx, sched, (scn.x0, scn.y0, scn.v0, scn.m0),
+                          alpha, scn.pi_min, scn.pi_max, steps_per_arc=steps)
+    assert np.any(traj.arc_id == 2) == (case != "no final arc")
+    assert np.any(traj.arc_id == 1) == (case != "t1=t2")
+    weight = alpha or 1.0
+    got = _failure_or(
+        lambda: integrate._singular_costates(ctx, traj, sched, weight)[1])
+    ref = _failure_or(
+        lambda: integrate_oracle.singular_costates(ctx, traj, sched,
+                                                   weight)[1])
+    assert got == ref
+    assert _failure_or(
+        lambda: terminal_costate(ctx, traj, sched, 1.0, scn.pi_min)) == \
+        _failure_or(lambda: integrate_oracle.terminal_costate(
+            ctx, traj, sched, 1.0, scn.pi_min))
+
+    lib = replace(traj, throttle=traj.throttle.copy())
+    ora = replace(traj, throttle=traj.throttle.copy())
+    if alpha > 0.0 and case != "t1=t2":
+        lib = reconstruct_costates(ctx, lib, sched, alpha, scn.pi_min,
+                                   scn.pi_max)
+        ora = integrate_oracle.reconstruct_costates(ctx, ora, sched, alpha,
+                                                    scn.pi_min, scn.pi_max)
+        assert _bits(lib.costates) == _bits(ora.costates)
+        for t in (lib, ora):
+            t.costates[3, 1] = np.nan
+            t.costates[-2, 0] = np.inf
+    diagnose(ctx, lib, alpha, scn.pi_min, scn.pi_max)
+    integrate_oracle.diagnose(ctx, ora, alpha, scn.pi_min, scn.pi_max)
+    for col in ("throttle", "S", "H", "lc", "detM", "mach"):
+        assert _bits(getattr(lib, col)) == _bits(getattr(ora, col)), col
+    assert np.array_equal(lib.envelope_ok, ora.envelope_ok)
+    assert lib.envelope_ok.dtype == bool
+    if lib.costates is None:
+        assert np.all(np.isnan(lib.S) & np.isnan(lib.H) & np.isnan(lib.lc))
+    else:
+        assert np.isnan(lib.S[[3, -2]]).all() and np.isfinite(lib.S[4])
+    # CAS goes through NumPy's power over arrays and libm's pow per
+    # sample, which may differ in the last bit: no sample sits within two
+    # ulps of a CAS bound, where that could flip an envelope flag
+    cas = calibrated_airspeed(ctx.atm, traj.states[:, 2], scn.h)
+    for bound in (scn.aircraft.v_CAS_min, scn.aircraft.v_CAS_max):
+        assert np.all(np.abs(cas - bound) > 2.0 * np.spacing(bound))
+
+
+def test_array_costate_solve_fails_at_the_first_ill_conditioned_sample():
+    """One ill-conditioned sample (and a worse one later) inside the
+    singular arc: the solve over the arc raises the per-sample loop's
+    first error, with its determinant and condition number.  A NaN row
+    gives a NaN co-state row, as per sample, and the pass warns nothing."""
+    _, alpha, sched = COMMITTED["0.4"]
+    traj = integrate_arcs(CTX, sched, X0, alpha, SCN.pi_min, SCN.pi_max,
+                          steps_per_arc=40)
+    states = traj.states.copy()
+    states[45] = np.nan
+    nan_row = replace(traj, states=states.copy())
+    # |det| just below EPS_DET, then further below it, on the shipped field
+    states[50] = (5e5, 2.5e5, 168.54782764700985, 40000.0, 0.65)
+    states[60] = (5e5, 2.5e5, 168.5478286, 40000.0, 0.65)
+    ill = replace(traj, states=states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedSystemError) as got:
+            integrate._singular_costates(CTX, ill, sched, alpha)
+        with pytest.raises(IllConditionedSystemError) as ref:
+            integrate_oracle.singular_costates(CTX, ill, sched, alpha)
+        first, lam = integrate._singular_costates(CTX, nan_row, sched, alpha)
+        _, lam_ref = integrate_oracle.singular_costates(CTX, nan_row, sched,
+                                                        alpha)
+    assert (got.value.det, got.value.cond) == (ref.value.det, ref.value.cond)
+    assert type(got.value.det) is float
+    assert 9.99e-11 < got.value.det < 1e-10
+    assert _bits(lam) == _bits(lam_ref)
+    assert np.isnan(lam[45 - first]).all()
+    assert np.isfinite(np.delete(lam, 45 - first, axis=0)).all()
