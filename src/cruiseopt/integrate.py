@@ -8,30 +8,27 @@ arc; switch times are unknowns of the shooting solve, so arcs are
 integrated independently with endpoints aligned to the switches and no event
 detection is needed.
 
-One RK4 stepper and one right-hand side serve every arc and both uses: the
-state rollout and the joint state/co-state sweep that reconstructs the
-co-states on the bang arcs.  The stepper works on plain floats with each
-stage point and the update written out per component, for the five-state
-system and for the nine-component joint system, in the operation order of
-the generic tuple form it replaced, so results are bit-identical to it.
-Each RK4 stage makes one fused lookup of the wind and its gradients
-(`wind_and_gradients`), which feeds the dynamics, the heading rate, the
-singular feedback and the co-state equation.  A rollout records
+One RK4 stepper and one right-hand side serve every arc.  The stepper works
+on plain floats with each stage point and the update written out per
+component, in the operation order of the generic tuple form it replaced, so
+results are bit-identical to it.  Each RK4 stage makes one fused lookup of
+the wind and its gradients (`wind_and_gradients`), which feeds the
+dynamics, the heading rate and the singular feedback.  A rollout records
 states and throttles only.
 
 After a rollout the closed forms run once per arc on NumPy arrays, not once
 per sample.  The algebraic co-state on the singular arc is one
-`solve_costates_on_singular` call on the arc's state columns, which seeds
-the joint sweeps over the bang arcs (they step plain floats again).  The
-diagnostics pass over a realized trajectory (`diagnose`) refills the exact
-singular throttle one sample at a time on plain floats, then computes the
-determinant, Mach number, envelope flags, switching function, Hamiltonian
-and Legendre-Clebsch value as array expressions over all samples.
+`solve_costates_on_singular` call on the arc's state columns.  It seeds the
+co-state sweeps over the bang arcs, which integrate `pmp.costate_rhs` alone
+along the stored states, backward over the first arc and forward over the
+last, so no state is integrated twice or backward.  The diagnostics pass
+(`diagnose`) refills the exact singular throttle one sample at a time on
+plain floats, then computes the determinant, Mach number, envelope flags,
+switching function, Hamiltonian and Legendre-Clebsch value as array
+expressions over all samples.
 
 The shooting residual reads only the co-state at tf, so `terminal_costate`
-runs just the singular-arc solve and the forward sweep over the final arc,
-the two steps it shares with `reconstruct_costates`, and skips the backward
-sweep over the first arc.
+runs just the singular-arc solve and the forward sweep over the final arc.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from .atmosphere import check_envelope
 from .dynamics import CruiseContext
 from .errors import IntegrationError, ValidationError
 from .pmp import (
+    costate_rhs,
     evaluate_feedback,
     hamiltonian,
     legendre_clebsch,
@@ -117,20 +115,18 @@ class Trajectory:
 
 
 class _Rhs:
-    """Right-hand side of (x, y, v, m, chi), or of the joint state/co-state
-    system when called with the co-state appended (nine components).
+    """Right-hand side of the state (x, y, v, m, chi).
 
     The wind and its gradients come from one lookup per call, through the
     wind field's `wind_and_gradients` bound at construction, and feed the
-    dynamics F = Q + pi P, the heading rate, the singular feedback and the
-    co-state equation.  F, the heading rate and the co-state equation are
-    written out here, with the context's constants bound at construction,
-    in the operation order of `dynamics.eval_F`, `dynamics.zermelo_rhs` and
-    `pmp.costate_rhs`: rollouts match those point evaluations bit for bit
-    without their calls.  `throttle` is the bang level; given a cost weight
-    `alpha`, the throttle comes instead from the singular feedback, clamped
-    to [pi_min, pi_max] with clamp events counted, and `throttle` holds the
-    value of the last call.
+    dynamics F = Q + pi P, the heading rate and the singular feedback.  F
+    and the heading rate are written out here, with the context's constants
+    bound at construction, in the operation order of `dynamics.eval_F` and
+    `dynamics.zermelo_rhs`: rollouts match those point evaluations bit for
+    bit without their calls.  `throttle` is the bang level; given a cost
+    weight `alpha`, the throttle comes instead from the singular feedback,
+    clamped to [pi_min, pi_max] with clamp events counted, and `throttle`
+    holds the value of the last call.
     """
 
     def __init__(self, ctx: CruiseContext, throttle: float,
@@ -144,11 +140,10 @@ class _Rhs:
         self.clamps = 0
         self._wind = ctx.wind.wind_and_gradients
         self._consts = (ctx.qs_coeff, ctx.ind_coeff, ctx.T_max,
-                        ctx.model.C_s1, ctx.model.C_s2,
-                        -ctx.cs_slope * ctx.T_max)
+                        ctx.model.C_s1, ctx.model.C_s2)
 
     def __call__(self, s):
-        x, y, v, m, chi = s[:5]
+        x, y, v, m, chi = s
         wg = self._wind(x, y)
         pi = self.throttle
         if self.alpha is not None:
@@ -157,30 +152,20 @@ class _Rhs:
                 self.clamps += 1
                 pi = min(max(pi, self.pi_min), self.pi_max)
             self.throttle = pi
-        qs, ind, tmax, cs1, cs2, fuel_v = self._consts
+        qs, ind, tmax, cs1, cs2 = self._consts
         wx, wy, wxx, wxy, wyx, wyy = wg
         sn, c = math.sin(chi), math.cos(chi)
         drag = qs * v * v + ind * m * m / (v * v)
-        f = (v * c + wx,
-             v * sn + wy,
-             -drag / m + pi * (tmax / m),
-             pi * (-(cs1 * (1.0 + v / cs2)) * tmax),
-             sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy)
-        if len(s) == 5:
-            return f
-        lx, ly, lv, lm = s[5:]
-        d_v = 2.0 * qs * v - 2.0 * ind * m * m / v ** 3
-        d_m = 2.0 * ind * m / (v * v)
-        return f + (-(lx * wxx + ly * wyx),
-                    -(lx * wxy + ly * wyy),
-                    -(lx * c + ly * sn + lv * (-d_v / m) + lm * (pi * fuel_v)),
-                    -(lv * ((-d_m / m + drag / (m * m))
-                            + pi * (-tmax / (m * m)))))
+        return (v * c + wx,
+                v * sn + wy,
+                -drag / m + pi * (tmax / m),
+                pi * (-(cs1 * (1.0 + v / cs2)) * tmax),
+                sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy)
 
 
 def _step5(rhs, s, h, hh, h6):
-    """One classical RK4 step of the five-component state (x, y, v, m, chi
-    as x, y, v, m, c), written out; x2 is the x rate at the second stage."""
+    """One classical RK4 step of the state (x, y, v, m, chi as x, y, v, m,
+    c), written out; x2 is the x rate at the second stage."""
     x, y, v, m, c = s
     x1, y1, v1, m1, c1 = rhs(s)
     x2, y2, v2, m2, c2 = rhs((x + hh * x1, y + hh * y1, v + hh * v1,
@@ -196,41 +181,13 @@ def _step5(rhs, s, h, hh, h6):
             c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
 
 
-def _step9(rhs, s, h, hh, h6):
-    """`_step5` for the joint system, with the co-state as p, q, r, u."""
-    x, y, v, m, c, p, q, r, u = s
-    x1, y1, v1, m1, c1, p1, q1, r1, u1 = rhs(s)
-    x2, y2, v2, m2, c2, p2, q2, r2, u2 = rhs((
-        x + hh * x1, y + hh * y1, v + hh * v1, m + hh * m1, c + hh * c1,
-        p + hh * p1, q + hh * q1, r + hh * r1, u + hh * u1))
-    x3, y3, v3, m3, c3, p3, q3, r3, u3 = rhs((
-        x + hh * x2, y + hh * y2, v + hh * v2, m + hh * m2, c + hh * c2,
-        p + hh * p2, q + hh * q2, r + hh * r2, u + hh * u2))
-    x4, y4, v4, m4, c4, p4, q4, r4, u4 = rhs((
-        x + h * x3, y + h * y3, v + h * v3, m + h * m3, c + h * c3,
-        p + h * p3, q + h * q3, r + h * r3, u + h * u3))
-    return (x + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-            y + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            v + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
-            m + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
-            c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
-            p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-            q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
-            r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
-            u + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4))
-
-
 def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
-    """Classical RK4 with n_steps fixed steps from t0 to t1 on the state
-    (five components) or the joint state/co-state system (nine), as plain
-    floats.
-
-    Returns the state and `rhs.throttle` after every step.  A failing
+    """Classical RK4 with n_steps fixed steps from t0 to t1 on the state, as
+    plain floats: the state and `rhs.throttle` after every step.  A failing
     right-hand side or a non-finite or stalled state raises IntegrationError
     with the last good state.
     """
     s = tuple(map(float, s0))
-    step = _step5 if len(s) == 5 else _step9
     call = rhs.__call__     # bound once, not looked up on the type per stage
     h = float(t1 - t0) / n_steps
     hh, h6 = 0.5 * h, h / 6.0
@@ -238,7 +195,7 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
     states, throttles = [], []
     for k in range(n_steps):
         try:
-            s_new = step(call, s, h, hh, h6)
+            s_new = _step5(call, s, h, hh, h6)
         except Exception as exc:
             raise IntegrationError(t0 + k * h, str(exc), last_state=s) from exc
         if not (s_new[2] > 1.0 and all(map(isfinite, s_new))):
@@ -249,6 +206,52 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
         states.append(s)
         throttles.append(rhs.throttle)
     return states, throttles
+
+
+def _costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
+    """Classical RK4 on the co-state alone along the stored samples of one
+    bang arc, from `lam` at the first sample: forward when the sample times
+    `t` rise, backward when they fall.  Each step takes its end states from
+    the samples and its midpoint state from their cubic Hermite interpolant
+    (s_a + s_b)/2 + h/8 (f_a - f_b), fourth order like the rollout, with f
+    from `_Rhs` at the arc's constant `throttle`.  Returns the co-states at
+    the samples after the first, as tuples of plain floats.  A non-finite
+    co-state raises IntegrationError with its time and the last finite one.
+    """
+    rhs, grads = _Rhs(ctx, throttle), ctx.wind.wind_gradients
+    t, states = t.tolist(), states.tolist()
+    lam = tuple(map(float, lam))
+    ta, (xa, ya, va, ma, ca) = t[0], states[0]
+    fa, ga = rhs(states[0]), grads(xa, ya)
+    out = []
+    for tb, sb in zip(t[1:], states[1:]):
+        p, q, r, u = lam
+        xb, yb, vb, mb, cb = sb
+        fb, gb = rhs(sb), grads(xb, yb)
+        h = tb - ta
+        hh, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
+        vm = 0.5 * (va + vb) + h8 * (fa[2] - fb[2])
+        mm = 0.5 * (ma + mb) + h8 * (fa[3] - fb[3])
+        cm = 0.5 * (ca + cb) + h8 * (fa[4] - fb[4])
+        gm = grads(0.5 * (xa + xb) + h8 * (fa[0] - fb[0]),
+                   0.5 * (ya + yb) + h8 * (fa[1] - fb[1]))
+        p1, q1, r1, u1 = costate_rhs(ctx, va, ma, ca, ga, throttle, lam)
+        p2, q2, r2, u2 = costate_rhs(ctx, vm, mm, cm, gm, throttle, (
+            p + hh * p1, q + hh * q1, r + hh * r1, u + hh * u1))
+        p3, q3, r3, u3 = costate_rhs(ctx, vm, mm, cm, gm, throttle, (
+            p + hh * p2, q + hh * q2, r + hh * r2, u + hh * u2))
+        p4, q4, r4, u4 = costate_rhs(ctx, vb, mb, cb, gb, throttle, (
+            p + h * p3, q + h * q3, r + h * r3, u + h * u3))
+        new = (p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+               q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+               r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+               u + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4))
+        if not all(map(math.isfinite, new)):
+            raise IntegrationError(tb, "non-finite co-state", last_state=lam)
+        lam = new
+        out.append(lam)
+        ta, xa, ya, va, ma, ca, fa, ga = tb, xb, yb, vb, mb, cb, fb, gb
+    return out
 
 
 def _arc_times(t_last: float, ta: float, tb: float, steps: int):
@@ -336,14 +339,12 @@ def _final_arc_costates(ctx: CruiseContext, traj: Trajectory,
                         schedule: ArcSchedule, j: int, lam_j,
                         pi_min: float) -> list:
     """Co-states at the samples after j, the last singular sample, from the
-    joint state/co-state sweep forward over the final bang arc; empty when
-    the rollout skipped that arc."""
+    co-state sweep forward over the final bang arc; empty when the rollout
+    skipped that arc."""
     if not np.any(traj.arc_id == 2):
         return []
     pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
-    chain, _ = _rk4(_Rhs(ctx, pi_end), (*traj.states[j], *lam_j),
-                    traj.t[j], traj.t[-1], len(traj.t) - 1 - j)
-    return [st[5:] for st in chain]
+    return _costate_sweep(ctx, pi_end, traj.t[j:], traj.states[j:], lam_j)
 
 
 def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
@@ -352,8 +353,8 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
     """Fill the co-state samples of a converged trajectory.
 
     On the singular arc the co-state comes from the algebraic solve over its
-    samples; the bang arcs are covered by integrating the joint
-    state/co-state system backward from t1 and forward from t2.
+    samples; the bang arcs are covered by co-state sweeps along the stored
+    states, backward from t1 and forward from t2.
     """
     first, lams = _singular_costates(ctx, traj, schedule, alpha)
     last = first + len(lams) - 1
@@ -362,9 +363,9 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
 
     # backward sweep over the max-throttle arc
     if np.count_nonzero(traj.arc_id == 0) > 1 and schedule.t1 > 0.0:
-        chain, _ = _rk4(_Rhs(ctx, pi_max), (*traj.states[first], *lams[0]),
-                        traj.t[first], 0.0, first)
-        lam[:first] = [st[5:] for st in reversed(chain)]
+        chain = _costate_sweep(ctx, pi_max, traj.t[first::-1],
+                               traj.states[first::-1], lams[0])
+        lam[:first] = chain[::-1]
 
     tail = _final_arc_costates(ctx, traj, schedule, last, lams[-1], pi_min)
     if tail:

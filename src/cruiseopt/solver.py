@@ -530,7 +530,6 @@ def verify_solution(sol: Solution,
         else:
             on_min = on_end
         on_sing = traj.arc_id == 1
-        worst = -math.inf
         detail = ""
         smax = float(np.nanmax(traj.S[on_max])) if np.any(on_max) else -math.inf
         smin = float(np.nanmin(traj.S[on_min])) if np.any(on_min) else math.inf

@@ -6,19 +6,26 @@ the update are built as tuples from `zip` generator expressions, and the
 right-hand side composes `dynamics.eval_F`, `dynamics.zermelo_rhs` and
 `pmp.costate_rhs`, with the wind and its gradients from the field's
 separate lookups and the singular throttle from
-`pmp_oracle.composed_feedback`.  `integrate_arcs` and
-`reconstruct_costates` drive them over the three arcs exactly as the
-library does.  The library's rollouts and
-co-states must match these bit for bit, failures included.
+`pmp_oracle.composed_feedback`.  `integrate_arcs` drives them over the
+three arcs exactly as the library does, and the library's rollouts must
+match it bit for bit, failures included.
+
+`reconstruct_costates` covers the bang arcs as the library did before it
+swept the co-state alone along the stored samples: it integrates the joint
+nine-component state/co-state system, backward from t1 over the first arc
+and forward from t2 over the last.  Its singular-arc rows must match the
+library's bit for bit; on the bang arcs the two integrate different
+systems, so there it is the reference for accuracy, not for bits.
 
 `shooting_residual` is the shooting solve's residual as it was computed
-through the full `reconstruct_costates`, backward sweep over the first arc
-included.
+through the library's full `reconstruct_costates`, backward sweep over the
+first arc included.
 
 `singular_costates`, `terminal_costate` and `diagnose` are the library's
 post-rollout algebra as it ran before it became array expressions over
-whole arcs: one call of the closed forms per sample.  The array forms must
-match them bit for bit.
+whole arcs: one call of the closed forms per sample (`terminal_costate`
+then runs the library's forward sweep over the final arc).  The array
+forms must match them bit for bit.
 """
 
 import math
