@@ -19,9 +19,10 @@ states and throttles only.
 After a rollout the closed forms run once per arc on NumPy arrays, not once
 per sample.  The algebraic co-state on the singular arc is one
 `solve_costates_on_singular` call on the arc's state columns.  It seeds the
-co-state sweeps over the bang arcs, which integrate `pmp.costate_rhs` alone
-along the stored states, backward over the first arc and forward over the
-last, so no state is integrated twice or backward.  The diagnostics pass
+co-state sweeps over the bang arcs, which integrate the adjoint equation
+(`pmp.costate_coefficients`, `pmp.adjoint_rate`) alone along the stored
+states, backward over the first arc and forward over the last, so no state
+is integrated twice or backward.  The diagnostics pass
 (`diagnose`) refills the exact singular throttle one sample at a time on
 plain floats, then computes the determinant, Mach number, envelope flags,
 switching function, Hamiltonian and Legendre-Clebsch value as array
@@ -29,6 +30,10 @@ expressions over all samples.
 
 The shooting residual reads only the co-state at tf, so `terminal_costate`
 runs just the singular-arc solve and the forward sweep over the final arc.
+The shooting solve's central differences move one unknown at a time, so a
+perturbed rollout can take over the leading arcs it shares with the
+unperturbed one (`integrate_arcs(..., reuse=...)`, `shared_arcs`), and,
+when it shares the singular arc, that arc's algebraic co-state.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from .atmosphere import check_envelope
 from .dynamics import CruiseContext
 from .errors import IntegrationError, ValidationError
 from .pmp import (
-    costate_rhs,
+    adjoint_rate,
+    costate_coefficients,
     evaluate_feedback,
     hamiltonian,
     legendre_clebsch,
@@ -142,9 +148,10 @@ class _Rhs:
         self._consts = (ctx.qs_coeff, ctx.ind_coeff, ctx.T_max,
                         ctx.model.C_s1, ctx.model.C_s2)
 
-    def __call__(self, s):
+    def __call__(self, s, wg=None):
         x, y, v, m, chi = s
-        wg = self._wind(x, y)
+        if wg is None:
+            wg = self._wind(x, y)
         pi = self.throttle
         if self.alpha is not None:
             pi = evaluate_feedback(self.ctx, x, y, v, m, chi, self.alpha, wg)
@@ -214,33 +221,45 @@ def _costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
     `t` rise, backward when they fall.  Each step takes its end states from
     the samples and its midpoint state from their cubic Hermite interpolant
     (s_a + s_b)/2 + h/8 (f_a - f_b), fourth order like the rollout, with f
-    from `_Rhs` at the arc's constant `throttle`.  Returns the co-states at
-    the samples after the first, as tuples of plain floats.  A non-finite
-    co-state raises IntegrationError with its time and the last finite one.
+    from `_Rhs` at the arc's constant `throttle`.  Each sample makes one
+    wind lookup, for its state rate and its adjoint coefficients, and each
+    midpoint one gradient lookup; the coefficients are computed once per
+    sample and once per midpoint, which the second and third stages share.
+    Returns the co-states at the samples after the first, as tuples of
+    plain floats.  A non-finite co-state raises IntegrationError with its
+    time and the last finite one.
     """
-    rhs, grads = _Rhs(ctx, throttle), ctx.wind.wind_gradients
+    rhs, wind = _Rhs(ctx, throttle), ctx.wind.wind_and_gradients
+    grads = ctx.wind.wind_gradients
+
+    def at_sample(s):
+        """The state rate and the adjoint coefficients at a sample."""
+        wg = wind(s[0], s[1])
+        return rhs(s, wg), costate_coefficients(ctx, s[2], s[3], s[4],
+                                                wg[2:], throttle)
+
     t, states = t.tolist(), states.tolist()
     lam = tuple(map(float, lam))
-    ta, (xa, ya, va, ma, ca) = t[0], states[0]
-    fa, ga = rhs(states[0]), grads(xa, ya)
+    ta, sa = t[0], states[0]
+    fa, ka = at_sample(sa)
     out = []
     for tb, sb in zip(t[1:], states[1:]):
         p, q, r, u = lam
-        xb, yb, vb, mb, cb = sb
-        fb, gb = rhs(sb), grads(xb, yb)
+        fb, kb = at_sample(sb)
         h = tb - ta
         hh, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
-        vm = 0.5 * (va + vb) + h8 * (fa[2] - fb[2])
-        mm = 0.5 * (ma + mb) + h8 * (fa[3] - fb[3])
-        cm = 0.5 * (ca + cb) + h8 * (fa[4] - fb[4])
-        gm = grads(0.5 * (xa + xb) + h8 * (fa[0] - fb[0]),
-                   0.5 * (ya + yb) + h8 * (fa[1] - fb[1]))
-        p1, q1, r1, u1 = costate_rhs(ctx, va, ma, ca, ga, throttle, lam)
-        p2, q2, r2, u2 = costate_rhs(ctx, vm, mm, cm, gm, throttle, (
+        km = costate_coefficients(
+            ctx, 0.5 * (sa[2] + sb[2]) + h8 * (fa[2] - fb[2]),
+            0.5 * (sa[3] + sb[3]) + h8 * (fa[3] - fb[3]),
+            0.5 * (sa[4] + sb[4]) + h8 * (fa[4] - fb[4]),
+            grads(0.5 * (sa[0] + sb[0]) + h8 * (fa[0] - fb[0]),
+                  0.5 * (sa[1] + sb[1]) + h8 * (fa[1] - fb[1])), throttle)
+        p1, q1, r1, u1 = adjoint_rate(ka, lam)
+        p2, q2, r2, u2 = adjoint_rate(km, (
             p + hh * p1, q + hh * q1, r + hh * r1, u + hh * u1))
-        p3, q3, r3, u3 = costate_rhs(ctx, vm, mm, cm, gm, throttle, (
+        p3, q3, r3, u3 = adjoint_rate(km, (
             p + hh * p2, q + hh * q2, r + hh * r2, u + hh * u2))
-        p4, q4, r4, u4 = costate_rhs(ctx, vb, mb, cb, gb, throttle, (
+        p4, q4, r4, u4 = adjoint_rate(kb, (
             p + h * p3, q + h * q3, r + h * r3, u + h * u3))
         new = (p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
                q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
@@ -250,7 +269,7 @@ def _costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
             raise IntegrationError(tb, "non-finite co-state", last_state=lam)
         lam = new
         out.append(lam)
-        ta, xa, ya, va, ma, ca, fa, ga = tb, xb, yb, vb, mb, cb, fb, gb
+        ta, sa, fa, ka = tb, sb, fb, kb
     return out
 
 
@@ -268,9 +287,22 @@ def _arc_times(t_last: float, ta: float, tb: float, steps: int):
     return ts
 
 
+def shared_arcs(a: ArcSchedule, b: ArcSchedule) -> int:
+    """How many leading arcs two schedules of one problem roll out alike:
+    the first arc needs the same heading and t1, the singular arc also the
+    same t2, and the final arc also the same tf and bang level."""
+    keys_a = ((a.chi0, a.t1), a.t2, (a.tf, a.final_throttle))
+    keys_b = ((b.chi0, b.t1), b.t2, (b.tf, b.final_throttle))
+    n = 0
+    while n < 3 and keys_a[n] == keys_b[n]:
+        n += 1
+    return n
+
+
 def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
-                   pi_min: float, pi_max: float,
-                   steps_per_arc: int = 400) -> Trajectory:
+                   pi_min: float, pi_max: float, steps_per_arc: int = 400,
+                   reuse: tuple[ArcSchedule, Trajectory] | None = None
+                   ) -> Trajectory:
     """Integrate the bang / singular / bang trajectory for one schedule.
 
     `x0` is (x, y, v, m); heading starts at schedule.chi0.  Empty arcs (see
@@ -278,17 +310,35 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
     bang-bang and the middle-arc feedback is never evaluated.  The result
     carries states, throttles and the clamp count; `diagnose` fills the
     rest.
+
+    `reuse` is another schedule of the same problem (the same `x0`, weight,
+    throttle bounds and steps per arc) with its rollout: the leading arcs
+    the two schedules share (`shared_arcs`) are taken over from it
+    unchanged, with the singular arc's clamp count, and only the arcs after
+    them are integrated.  The result is the same, bit for bit, as rolling
+    the schedule out from scratch.
     """
     pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
     sing = _Rhs(ctx, math.nan, alpha, pi_min, pi_max)
     arcs = ((0.0, schedule.t1, _Rhs(ctx, pi_max)),
             (schedule.t1, schedule.t2, sing),
             (schedule.t2, schedule.tf, _Rhs(ctx, pi_end)))
-    times = [0.0]
-    samples = [(x0[0], x0[1], x0[2], x0[3], schedule.chi0)]
-    throttles = [pi_max]
-    arc_ids = [0]
-    for arc, (ta, tb, rhs) in enumerate(arcs):
+    kept = 0 if reuse is None else shared_arcs(reuse[0], schedule)
+    if kept:
+        base = reuse[1]
+        n = int(np.searchsorted(base.arc_id, kept))  # samples of those arcs
+        times = base.t[:n].tolist()
+        samples = base.states[:n].tolist()
+        throttles = base.throttle[:n].tolist()
+        arc_ids = base.arc_id[:n].tolist()
+        if kept > 1:
+            sing.clamps = base.clamp_count
+    else:
+        times = [0.0]
+        samples = [(x0[0], x0[1], x0[2], x0[3], schedule.chi0)]
+        throttles = [pi_max]
+        arc_ids = [0]
+    for arc, (ta, tb, rhs) in enumerate(arcs[kept:], kept):
         arc_times = _arc_times(times[-1], ta, tb, steps_per_arc)
         if arc_times is None:
             continue
@@ -374,16 +424,27 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
     return traj
 
 
+def last_singular_costate(ctx: CruiseContext, traj: Trajectory,
+                          schedule: ArcSchedule, alpha: float):
+    """(index, co-state) of the last singular sample, from the algebraic
+    solve over the singular arc that `reconstruct_costates` runs: where the
+    forward sweep over the final arc starts."""
+    first, lams = _singular_costates(ctx, traj, schedule, alpha)
+    return first + len(lams) - 1, lams[-1]
+
+
 def terminal_costate(ctx: CruiseContext, traj: Trajectory,
-                     schedule: ArcSchedule, alpha: float, pi_min: float):
+                     schedule: ArcSchedule, alpha: float, pi_min: float,
+                     singular=None):
     """The co-state at tf, bit for bit as `reconstruct_costates` fills it,
     without the backward sweep over the first arc that it does not depend
     on: the singular-arc solves (and their determinant guard), then the
-    forward sweep over the final arc."""
-    first, lams = _singular_costates(ctx, traj, schedule, alpha)
-    tail = _final_arc_costates(ctx, traj, schedule, first + len(lams) - 1,
-                               lams[-1], pi_min)
-    return (tail or lams)[-1]
+    forward sweep over the final arc.  `singular`, the
+    `last_singular_costate` of a rollout with the same first two arcs,
+    stands in for the singular-arc solves."""
+    j, lam_j = singular or last_singular_costate(ctx, traj, schedule, alpha)
+    tail = _final_arc_costates(ctx, traj, schedule, j, lam_j, pi_min)
+    return tail[-1] if tail else lam_j
 
 
 def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,

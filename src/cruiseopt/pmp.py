@@ -88,15 +88,33 @@ def costate_rhs(ctx: CruiseContext, v: float, m: float, chi: float, grads,
     gradients, the speed row the heading and the drag slope, and the mass
     row the drag's mass terms and the thrust-to-mass ratio.
     """
+    return adjoint_rate(costate_coefficients(ctx, v, m, chi, grads, throttle),
+                        lam)
+
+
+def costate_coefficients(ctx: CruiseContext, v: float, m: float, chi: float,
+                         grads, throttle: float):
+    """The entries of -(dQ/dX + pi dP/dX)^T at one state, which the adjoint
+    equation applies to the co-state (`adjoint_rate`): the four wind
+    gradients, the heading's cosine and sine, the speed row's drag slope and
+    fuel-flow term, and the mass row's drag and thrust terms."""
     wxx, wxy, wyx, wyy = grads
-    lx, ly, lv, lm = lam
     d_v, d_m = ctx.drag_partials(m, v)
+    return (wxx, wxy, wyx, wyy, math.cos(chi), math.sin(chi), -d_v / m,
+            throttle * (-ctx.cs_slope * ctx.T_max),
+            (-d_m / m + ctx.drag(m, v) / (m * m))
+            + throttle * (-ctx.T_max / (m * m)))
+
+
+def adjoint_rate(coeffs, lam):
+    """d lambda / dt from the `costate_coefficients` of a state, so that
+    RK4 stages at one state share them."""
+    wxx, wxy, wyx, wyy, c, s, v_v, v_m, m_m = coeffs
+    lx, ly, lv, lm = lam
     return (-(lx * wxx + ly * wyx),
             -(lx * wxy + ly * wyy),
-            -(lx * math.cos(chi) + ly * math.sin(chi) + lv * (-d_v / m)
-              + lm * (throttle * (-ctx.cs_slope * ctx.T_max))),
-            -(lv * ((-d_m / m + ctx.drag(m, v) / (m * m))
-                    + throttle * (-ctx.T_max / (m * m)))))
+            -(lx * c + ly * s + lv * v_v + lm * v_m),
+            -(lv * m_m))
 
 
 def switching_function(ctx: CruiseContext, v: float, m: float, lam) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .integrate import (
     Trajectory,
     diagnose,
     integrate_arcs,
+    last_singular_costate,
     reconstruct_costates,
+    shared_arcs,
     terminal_costate,
 )
 # unused here; the benchmark's tracer resolves the nlp.* spans through it
@@ -50,7 +53,7 @@ class Solution:
     cost: float
     residuals: np.ndarray      # terminal (x, y, v) residuals, SI units
     converged: bool
-    n_fev: int                 # rollouts spent by the solve
+    n_fev: int                 # shooting rollouts, whole or partial
     start_index: int
     clamp_count: int
     verification: "VerificationReport | None" = None
@@ -73,9 +76,12 @@ def chi0_constant_wind(scn: Scenario, tf: float) -> float:
     return math.atan2(num, den)
 
 
-_FD_STEP = 1e-7             # central-difference step on the scaled unknowns
+# central-difference step on the scaled unknowns, for the Jacobians that
+# start each Levenberg-Marquardt solve and refresh its secant updates
+_FD_STEP = 1e-7
 # shortest arc the shooting solve keeps between ordered switch times, so
-# that central differences stay inside the schedule domain
+# that central differences stay inside the schedule domain; a final arc
+# held there marks a collapsing final-arc structure
 _ORDER_MARGIN = 20.0 * _FD_STEP
 _FEAS_TOL = 1e-8            # on the scaled terminal residuals
 _COSTATE_TOL = 1e-10        # on the endpoint co-state residual
@@ -98,6 +104,14 @@ _ALPHA_COLLAPSED = 0.9
 _SEARCH_STEPS = 20
 
 
+class _Rollout(NamedTuple):
+    """A shooting point's schedule, its rollout, and the (index,
+    co-state) of its last singular sample when the residual needed it."""
+    schedule: ArcSchedule
+    trajectory: Trajectory
+    singular: tuple | None
+
+
 class _LMShooting:
     """Levenberg-Marquardt shooting solve on the switching-point system.
 
@@ -112,9 +126,18 @@ class _LMShooting:
     which makes the x and y residuals collinear: the fourth condition still
     supplies the missing along-track one.
 
+    The Jacobian is taken by central differences at the start of a solve
+    and kept up to date by secant (Broyden) updates after accepted steps;
+    new central differences are taken only when a step under a secant
+    Jacobian is rejected.  A perturbed rollout of a central difference
+    takes over the arcs its schedule shares with the rollout at the point:
+    a t2 column re-integrates the singular and final arcs only, a tf
+    column the final arc only, reusing the singular arc's algebraic
+    co-states too.
+
     One instance shoots at one resolution: it decodes the scaled unknowns
-    into schedules, counts the rollouts it spends in `n_fev`, and holds the
-    final-arc structure, which `run` may switch.
+    into schedules, counts the rollouts it spends in `n_fev`, whole or
+    partial, and holds the final-arc structure, which `run` may switch.
     """
 
     def __init__(self, ctx: CruiseContext, scn: Scenario, alpha: float,
@@ -160,42 +183,63 @@ class _LMShooting:
     def residual(self, z, square: bool) -> np.ndarray | None:
         """The scaled terminal residuals and, when `square`, the fourth
         condition; None when the schedule or its rollout fails."""
+        return self._shoot(z, square)[0]
+
+    def _shoot(self, z, square: bool, base: "_Rollout | None" = None):
+        """(`residual`, the point's `_Rollout`, None with the residual).
+        `base`, the rollout of another point, lends the leading arcs the
+        two schedules share (`shared_arcs`) and, when they share the
+        singular arc, its algebraic co-state: the result is the same, bit
+        for bit, as from scratch.  Every call spends one rollout, whole or
+        partial."""
         sched = self.decode(z)
         if sched is None:
-            return None
+            return None, None
         scn = self.scn
+        reuse = singular = None
+        if base is not None:
+            reuse = (base.schedule, base.trajectory)
+            if shared_arcs(base.schedule, sched) > 1:
+                singular = base.singular
         self.n_fev += 1
         try:
             traj = integrate_arcs(self.ctx, sched, self.x0, self.alpha,
                                   scn.pi_min, scn.pi_max,
-                                  steps_per_arc=self.steps)
+                                  steps_per_arc=self.steps, reuse=reuse)
             fin = traj.final_state
             r = np.array([(fin[0] - scn.xf) / _POS, (fin[1] - scn.yf) / _POS,
                           (fin[2] - scn.vf) / _SPD])
             if not square:
-                return r
+                return r, _Rollout(sched, traj, None)
             if self.alpha >= _ALPHA_COLLAPSED:
                 it = 0 if self.constant_wind else 1
-                return np.append(r, z[it + 1] - z[it] - _ORDER_MARGIN)
+                return (np.append(r, z[it + 1] - z[it] - _ORDER_MARGIN),
+                        _Rollout(sched, traj, None))
             # Endpoint condition in the alpha-invariant normalized co-state
             # mu = lam / alpha (reconstructed with unit weight):
             # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
             # which stays order one for every alpha and turns into the
             # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
-            mu_m = terminal_costate(self.ctx, traj, sched, 1.0,
-                                    scn.pi_min)[3]
+            singular = singular or last_singular_costate(self.ctx, traj,
+                                                         sched, 1.0)
+            mu_m = terminal_costate(self.ctx, traj, sched, 1.0, scn.pi_min,
+                                    singular)[3]
         except CruiseOptError:
-            return None
+            return None, None
         if not np.isfinite(mu_m) or mu_m == 0.0:
-            return None
-        return np.append(r, 1.0 / mu_m - self.alpha / (self.alpha - 1.0))
+            return None, None
+        return (np.append(r, 1.0 / mu_m - self.alpha / (self.alpha - 1.0)),
+                _Rollout(sched, traj, singular))
 
-    def _jacobian(self, z, square: bool) -> np.ndarray | None:
-        """Central differences; None when a perturbed rollout fails."""
+    def _jacobian(self, z, square: bool, rollout) -> np.ndarray | None:
+        """Central differences; None when a perturbed rollout fails.  Each
+        perturbed rollout takes over the arcs it shares with `rollout`, the
+        one at z: a t2 column keeps the first arc, a tf column also the
+        singular arc and its co-states."""
         cols = []
         for dz in _FD_STEP * np.eye(len(z)):
-            rp = self.residual(z + dz, square)
-            rm = self.residual(z - dz, square)
+            rp = self._shoot(z + dz, square, rollout)[0]
+            rm = self._shoot(z - dz, square, rollout)[0]
             if rp is None or rm is None:
                 return None
             cols.append((rp - rm) / (2.0 * _FD_STEP))
@@ -204,42 +248,56 @@ class _LMShooting:
     def _levenberg_marquardt(self, z, square: bool):
         """Damped least-squares steps with the gain-ratio damping update
         of Nielsen (IMM-REP-1999-05) and the scaling D = diag(J^T J) of
-        Moré (1978).  Trial points are projected back inside the schedule
-        ordering, and the gain ratio compares the actual reduction with the
-        one predicted for that projected step.  The solve gives up on the
-        final-arc structure when an accepted step leaves the final arc at
-        the ordering margin and cuts the squared residual by less than
-        2 %.  Returns (z, residual) at the last accepted point; the
-        residual is None when the rollout at the start point fails."""
-        r = self.residual(z, square)
+        Moré (1978), taken from the last central-difference Jacobian.
+        Trial points are projected back inside the schedule ordering, and
+        the gain ratio compares the actual reduction with the one predicted
+        for that projected step.
+
+        After an accepted step the Jacobian gets the "good" Broyden update
+        J += (y - J s) s^T / (s^T s) for the projected step s and the change
+        y in the residual (Broyden, Math. Comp. 19 (1965); Nocedal & Wright
+        §11.1), instead of new central differences.  Those are taken only
+        when a step is rejected while J is such an update: the step is
+        retried from the same point with the fresh Jacobian and the same
+        damping.  The solve gives up on the final-arc structure when an
+        accepted step leaves the final arc at the ordering margin and cuts
+        the squared residual by less than 2 %.  Returns (z, residual) at
+        the last accepted point; the residual is None when the rollout at
+        the start point fails."""
+        r, rollout = self._shoot(z, square)
         if r is None:
             return z, None
-        lam, nu, jac = _LM_LAMBDA0, 2.0, None
+        lam, nu, jac, secant = _LM_LAMBDA0, 2.0, None, False
         for _ in range(_LM_MAX_ITER):
             if _closed(r):
                 break
             if jac is None:
-                jac = self._jacobian(z, square)
+                jac = self._jacobian(z, square, rollout)
                 if jac is None:
                     break
                 scale = np.sqrt(np.sum(jac * jac, axis=0))
+                secant = False
             dz = np.linalg.lstsq(
                 np.vstack([jac, np.diag(math.sqrt(lam) * scale)]),
                 np.concatenate([-r, np.zeros(len(z))]), rcond=None)[0]
             z_try = self._nudge(z + dz)
-            r_try = self.residual(z_try, square)
-            pred = r @ r - np.sum((r + jac @ (z_try - z)) ** 2)
+            r_try, rollout_try = self._shoot(z_try, square)
+            s = z_try - z
+            pred = r @ r - np.sum((r + jac @ s) ** 2)
             gain = -1.0
             if r_try is not None and pred > 0.0:
                 gain = (r @ r - r_try @ r_try) / pred
             if gain > 0.0:
                 stalled = r_try @ r_try > _STALL_RATIO * (r @ r)
-                z, r, jac = z_try, r_try, None
+                jac = _broyden(jac, s, r_try - r)  # pred > 0: s is nonzero
+                z, r, rollout, secant = z_try, r_try, rollout_try, True
                 # z ends in (t2, tf): a final arc held at the margin
                 if stalled and z[-1] - z[-2] <= 1.5 * _ORDER_MARGIN:
                     break
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 nu = 2.0
+            elif secant:
+                jac = None
             else:
                 lam *= nu
                 nu *= 2.0
@@ -288,6 +346,13 @@ class _LMShooting:
         return z, _closed(r[:3])
 
 
+def _broyden(jac: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The "good" Broyden update of `jac` for a step s that changed the
+    residual by y: J + (y - J s) s^T / (s^T s), the least change to J (in
+    the Frobenius norm) that satisfies the secant equation J s = y."""
+    return jac + np.outer(y - jac @ s, s / (s @ s))
+
+
 def _closed(r: np.ndarray) -> bool:
     """The stopping rule: terminal residuals, and the fourth condition
     when the system carries it."""
@@ -317,6 +382,23 @@ def _start_grid(scn: Scenario, constant_wind: bool) -> list[np.ndarray]:
                 for dchi in (0.2, 0.0, -0.2):
                     starts.append(np.array([chi_base + dchi, *times]))
     return starts
+
+
+def _solve_start(ctx: CruiseContext, scn: Scenario, z, final_throttle,
+                 resolutions):
+    """Shoot from one start at each resolution in turn (RK4 steps per arc),
+    each from the result of the last, until one does not close.  Returns
+    (the last `_LMShooting`, its z, whether every resolution closed, the
+    rollouts spent)."""
+    n_fev = 0
+    for steps in resolutions:
+        shooting = _LMShooting(ctx, scn, scn.alpha, steps, final_throttle)
+        z, closed = shooting.run(z)
+        n_fev += shooting.n_fev
+        final_throttle = shooting.final_throttle
+        if not closed:
+            break
+    return shooting, z, closed, n_fev
 
 
 def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
@@ -353,14 +435,9 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     n_fev = 0
     tried = []
     for idx, z, final_throttle, resolutions in attempts:
-        for steps in resolutions:
-            shooting = _LMShooting(ctx, scn, scn.alpha, steps,
-                                   final_throttle)
-            z, closed = shooting.run(z)
-            n_fev += shooting.n_fev
-            final_throttle = shooting.final_throttle
-            if not closed:
-                break
+        shooting, z, closed, spent = _solve_start(ctx, scn, z, final_throttle,
+                                                  resolutions)
+        n_fev += spent
         if closed:
             return _solution(scn, shooting.decode(z), options, True, n_fev,
                              idx)

@@ -205,15 +205,16 @@ def test_each_rhs_stage_looks_the_wind_up_once():
     traj = integrate_arcs(ctx, sched, X0, 0.4, SCN.pi_min, SCN.pi_max,
                           steps_per_arc=20)
     assert wind.calls == {"wind_and_gradients": 240}
-    # co-state sweeps over both bang arcs, each with the state rates at its
-    # 21 samples and the wind gradients at those samples and at the 20 step
-    # midpoints (3 lookups per step, against 4 for a joint state/co-state
-    # RK4 step), plus one algebraic co-state solve over the singular
-    # samples and the t1 junction, with one wind lookup for all of them
+    # co-state sweeps over both bang arcs, each with one lookup of the wind
+    # and its gradients at each of its 21 samples, for the state rate and
+    # the adjoint, and of the gradients at each of its 20 step midpoints
+    # (2 lookups per step, against 4 for a joint state/co-state RK4 step),
+    # plus one algebraic co-state solve over the singular samples and the
+    # t1 junction, with one wind lookup for all of them
     wind.calls = {}
     reconstruct_costates(ctx, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
     assert wind.calls == {"wind_and_gradients": 2 * 21,
-                          "wind_gradients": 2 * 41, "wind_at": 1}
+                          "wind_gradients": 2 * 20, "wind_at": 1}
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.0])
@@ -453,7 +454,7 @@ def test_endgame_residual_skips_the_first_arc_sweep():
     # (21 samples, 20 midpoints); reconstruct_costates also sweeps the
     # first arc
     assert wind.calls == {"wind_and_gradients": 240 + 21,
-                          "wind_gradients": 41, "wind_at": 1}
+                          "wind_gradients": 20, "wind_at": 1}
     assert shooting.n_fev == 1
 
 
@@ -464,17 +465,22 @@ def test_costate_sweeps_step_plain_floats(monkeypatch):
     `terminal_costate` step and return tuples of plain floats."""
     types = set()
     call = _Rhs.__call__
-    adjoint = integrate.costate_rhs
+    coefficients = integrate.costate_coefficients
+    adjoint = integrate.adjoint_rate
     sweep = integrate._costate_sweep
     sweeps = []
 
-    def spy(self, s):
-        types.update(map(type, s))
-        return call(self, s)
+    def spy(self, s, wg=None):
+        types.update(map(type, (*s, *(wg or ()))))
+        return call(self, s, wg)
 
-    def adjoint_spy(ctx, v, m, chi, grads, throttle, lam):
-        types.update(map(type, (v, m, chi, *grads, throttle, *lam)))
-        return adjoint(ctx, v, m, chi, grads, throttle, lam)
+    def coefficients_spy(ctx, v, m, chi, grads, throttle):
+        types.update(map(type, (v, m, chi, *grads, throttle)))
+        return coefficients(ctx, v, m, chi, grads, throttle)
+
+    def adjoint_spy(coeffs, lam):
+        types.update(map(type, (*coeffs, *lam)))
+        return adjoint(coeffs, lam)
 
     def sweep_spy(*args):
         chain = sweep(*args)
@@ -482,7 +488,8 @@ def test_costate_sweeps_step_plain_floats(monkeypatch):
         return chain
 
     monkeypatch.setattr(_Rhs, "__call__", spy)
-    monkeypatch.setattr(integrate, "costate_rhs", adjoint_spy)
+    monkeypatch.setattr(integrate, "costate_coefficients", coefficients_spy)
+    monkeypatch.setattr(integrate, "adjoint_rate", adjoint_spy)
     monkeypatch.setattr(integrate, "_costate_sweep", sweep_spy)
     sched = COMMITTED["0.4"][2]
     traj = integrate_arcs(CTX, sched, X0, 0.4, SCN.pi_min, SCN.pi_max,
@@ -725,3 +732,90 @@ def test_array_costate_solve_fails_at_the_first_ill_conditioned_sample():
     assert _bits(lam) == _bits(lam_ref)
     assert np.isnan(lam[45 - first]).all()
     assert np.isfinite(np.delete(lam, 45 - first, axis=0)).all()
+
+
+# (scenario key, cost weight, schedule, whether the shooting system carries
+# the fourth condition) of the arc-reuse cases
+REUSE_CASES = {
+    "0.4, idle final arc": ("polynomial", 0.4, COMMITTED["0.4"][2], True),
+    "0.1, max final arc": ("polynomial", 0.1, COMMITTED["0.1"][2], True),
+    "0, three rows": ("polynomial", 0.0, COMMITTED["0"][2], False),
+    "0, four rows": ("polynomial", 0.0, COMMITTED["0"][2], True),
+    "constant wind": ("constant", 0.4, COMMITTED["cw"][2], True),
+    # the singular arc held at the shooting solve's ordering margin
+    "singular arc at the margin": ("polynomial", 0.9, ALPHA_09, True),
+    # a trial point of a cold alpha = 0.85 solve whose singular throttle
+    # is clamped at 133 of its stages
+    "0.85, clamped singular arc": ("polynomial", 0.85, ArcSchedule(
+        t1=2398.0333472092734, t2=3239.8529927941913, tf=3458.1133164685125,
+        chi0=0.4788040637750427), True),
+}
+
+
+def _rollout_or_failure(fn):
+    """The arrays and clamp count of the rollout `fn()` returns, or the
+    time, last state and message of its IntegrationError."""
+    try:
+        traj = fn()
+    except IntegrationError as exc:
+        return ("rollout", exc.t, np.array(exc.last_state), str(exc))
+    return [traj.t, traj.states, traj.throttle, traj.arc_id,
+            traj.clamp_count]
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_perturbed_rollouts_that_reuse_arcs_match_from_scratch(monkeypatch,
+                                                               case):
+    """Each central-difference neighbour of a shooting point, and a point
+    whose final arc lasts 3000 s longer (an idle one stalls), rolled out
+    with the point's rollout lent to it: the residual, the rollout and its
+    clamp count, or the failure, are byte-identical to those from scratch.
+    Only the arcs after the shared ones are integrated: a t2 column keeps
+    the first arc, a tf column also the singular arc, except under
+    constant wind, where tf moves the heading."""
+    wind, alpha, sched, square = REUSE_CASES[case]
+    scn = SCENARIOS[wind]
+    constant_wind = wind == "constant"
+    shooting = _LMShooting(make_context(scn), scn, alpha, 40,
+                           final_throttle=sched.final_throttle)
+    z0 = _decision(sched, constant_wind)
+    assert shooting.residual(z0, square) is not None
+    base = shooting._shoot(z0, square)[1]
+    if case.startswith("0.85"):
+        assert base.trajectory.clamp_count == 133
+    integrated = []
+    rk4 = integrate._rk4
+
+    def counted(rhs, s0, t0, t1, n_steps):
+        integrated.append(t0)
+        return rk4(rhs, s0, t0, t1, n_steps)
+
+    monkeypatch.setattr(integrate, "_rk4", counted)
+    names = ("t1", "t2", "tf") if constant_wind else ("chi0", "t1", "t2",
+                                                      "tf")
+    kept = {"chi0": 0, "t1": 0, "t2": 1, "tf": 0 if constant_wind else 2}
+    points = [(name, z0 + sign * 1e-7 * e) for sign in (1.0, -1.0)
+              for name, e in zip(names, np.eye(len(z0)))]
+    points.append(("tf", z0 + 3.0 * np.eye(len(z0))[-1]))
+    for name, z in points:
+        sched_z = shooting.decode(z)
+
+        def rollout(reuse=None):
+            return _rollout_or_failure(lambda: integrate_arcs(
+                shooting.ctx, sched_z, shooting.x0, alpha, scn.pi_min,
+                scn.pi_max, steps_per_arc=40, reuse=reuse))
+
+        integrated.clear()
+        reused = rollout((base.schedule, base.trajectory))
+        assert len(integrated) == 3 - kept[name]
+        _assert_same(rollout(), reused)
+        got = shooting._shoot(z, square, base)[0]
+        ref = shooting.residual(z, square)
+        _assert_same(ref is None, got is None)
+        if got is not None:
+            _assert_same(ref, got)
+    if sched.final_throttle is None:
+        assert isinstance(reused, tuple)   # the idle arc stalled
+    # a final arc at another bang level is not shared
+    assert integrate.shared_arcs(sched, replace(
+        sched, final_throttle=None if sched.final_throttle else 1.0)) == 2

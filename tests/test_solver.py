@@ -271,13 +271,17 @@ def test_warm_start_short_circuits_multistart(monkeypatch, scenario,
     assert sol.cost == pytest.approx(sol_04.cost, rel=1e-9)
     # every shooting rollout is counted; the last one realizes the solution
     assert 0 < sol.n_fev == len(rollouts) - 1
+    assert sol.n_fev <= 1   # the warm start closes the system at once
 
 
 def test_collapsed_final_arc_switches_structure_early(scenario, sol_02):
     """From the idle alpha = 0.2 schedule the alpha = 0.1 optimum needs a
     max-throttle final arc.  The idle structure collapses its final arc
     onto the ordering margin and stalls there; the shooting solve drops it
-    then instead of spending its whole trial budget (197 rollouts)."""
+    then instead of spending its whole trial budget (197 rollouts); with
+    secant Jacobians and perturbed rollouts that reuse their unchanged
+    arcs, the solve spends 50 rollouts (59 with a central-difference
+    Jacobian after every accepted step)."""
     assert sol_02.schedule.final_throttle is None
     sol = solve_indirect(scenario.replace_alpha(0.1), SolverOptions(steps=40),
                          warm_start=sol_02.schedule)
@@ -285,7 +289,7 @@ def test_collapsed_final_arc_switches_structure_early(scenario, sol_02):
     assert sol.schedule.final_throttle == scenario.pi_max
     # the continuation chain's cost at 40 steps per arc
     assert sol.cost == pytest.approx(-47626.2379829, rel=1e-6)
-    assert sol.n_fev <= 70
+    assert sol.n_fev <= 50
 
 
 def test_sweep_returns_input_order_and_growing_bang_arc(scenario):
@@ -293,3 +297,116 @@ def test_sweep_returns_input_order_and_growing_bang_arc(scenario):
     assert [s.alpha for s in sols] == [0.35, 0.4]
     assert all(s.converged for s in sols)
     assert sols[0].schedule.t1 < sols[1].schedule.t1
+
+
+def _lm_log(monkeypatch, fail=()):
+    """Spy on the Levenberg-Marquardt loop.  Returns the log it fills, in
+    call order: ("point", z, r) for the start point and each trial point,
+    ("jacobian", z, J) for each central-difference Jacobian, ("broyden", J,
+    s, y, J_new) for each secant update, and ("damping", d) for the
+    diagonal of the damping rows of each trial step's least-squares
+    system.  The trial points numbered in `fail` (the start point is 0)
+    fail as a failed rollout does."""
+    log = []
+    shoot, jacobian = _LMShooting._shoot, _LMShooting._jacobian
+    broyden, lstsq = solver._broyden, np.linalg.lstsq
+
+    def shoot_spy(self, z, square, base=None):
+        if base is not None:        # a Jacobian's perturbed rollout
+            return shoot(self, z, square, base)
+        n = sum(e[0] == "point" for e in log)
+        r, rollout = (None, None) if n in fail else shoot(self, z, square)
+        log.append(("point", z.copy(), r))
+        return r, rollout
+
+    def jacobian_spy(self, z, square, rollout):
+        jac = jacobian(self, z, square, rollout)
+        log.append(("jacobian", z.copy(), jac))
+        return jac
+
+    def broyden_spy(jac, s, y):
+        new = broyden(jac, s, y)
+        log.append(("broyden", jac, s, y, new))
+        return new
+
+    def lstsq_spy(a, b, rcond=None):
+        n = a.shape[1]
+        log.append(("damping", np.diag(a[-n:]).copy()))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(_LMShooting, "_shoot", shoot_spy)
+    monkeypatch.setattr(_LMShooting, "_jacobian", jacobian_spy)
+    monkeypatch.setattr(solver, "_broyden", broyden_spy)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
+    return log
+
+
+def _near_optimum(context, scenario):
+    """A 20-step shooting solve at alpha = 0.4 and a start near its
+    optimum."""
+    sched = ArcSchedule(t1=46.37409392679744, t2=6102.6089917743075,
+                        tf=6157.216316030232, chi0=0.6936718863233733)
+    z = np.array([sched.chi0, sched.t1, sched.t2, sched.tf]) / np.array(
+        [1.0, TIME_SCALE, TIME_SCALE, TIME_SCALE])
+    return _LMShooting(context, scenario, 0.4, 20), z + [1e-3, 2e-3, 3e-3,
+                                                         -3e-3]
+
+
+def test_accepted_steps_update_the_jacobian_by_the_secant(monkeypatch,
+                                                          context, scenario):
+    """After an accepted step the Jacobian is the good Broyden update for
+    the projected step s from the last accepted point and the change y in
+    the residual: J_new s = y, and J_new v = J v for every v orthogonal to
+    s.  The solve closes with one central-difference Jacobian."""
+    shooting, z0 = _near_optimum(context, scenario)
+    log = _lm_log(monkeypatch)
+    z, r = shooting._levenberg_marquardt(z0, True)
+    assert solver._closed(r)
+    kinds = [e[0] for e in log]
+    assert kinds.count("jacobian") == 1 and kinds.count("broyden") >= 2
+    current = trial = log[0]
+    for event in log:
+        if event[0] == "point":
+            trial = event
+        elif event[0] == "broyden":
+            _, jac, s, y, new = event
+            np.testing.assert_array_equal(s, trial[1] - current[1])
+            np.testing.assert_array_equal(y, trial[2] - current[2])
+            np.testing.assert_allclose(new @ s, y, rtol=1e-9, atol=1e-15)
+            v = np.linalg.svd(s[None, :])[2][1:]    # orthogonal to s
+            np.testing.assert_allclose(new @ v.T, jac @ v.T, rtol=1e-9,
+                                       atol=1e-12)
+            current = trial
+    np.testing.assert_array_equal(z, current[1])
+
+
+def test_rejected_secant_step_refreshes_the_jacobian(monkeypatch, context,
+                                                     scenario):
+    """A trial step rejected while the Jacobian is a Broyden update is
+    retried from the same point with a central-difference Jacobian and the
+    same damping; one rejected under a fresh Jacobian raises the damping
+    instead.  The damping scale is that of the last central-difference
+    Jacobian throughout."""
+    shooting, z0 = _near_optimum(context, scenario)
+    log = _lm_log(monkeypatch, fail=(2, 3))
+    shooting._levenberg_marquardt(z0, True)
+    kinds = [e[0] for e in log]
+    assert kinds[:10] == ["point", "jacobian", "damping", "point", "broyden",
+                          "damping", "point", "jacobian", "damping", "point"]
+    (_, p0, _), (_, j0_at, j0), (_, d1), (_, p1, _), _, (_, d2), _, (
+        _, j1_at, j1), (_, d3), _ = log[:10]
+    assert kinds[10] == "damping"      # no Jacobian after the fourth trial
+    d4 = log[10][1]
+    np.testing.assert_array_equal(j0_at, p0)
+    np.testing.assert_array_equal(j1_at, p1)   # the accepted first trial
+
+    def lam(d, jac):
+        return (d / np.sqrt(np.sum(jac * jac, axis=0))) ** 2
+
+    # the secant step is damped on the first Jacobian's scale, the retry
+    # with the same damping on the refreshed one's, and the step after
+    # the rejected retry with twice that damping
+    for d, jac in ((d1, j0), (d2, j0), (d3, j1)):
+        assert np.ptp(lam(d, jac)) <= 1e-12 * lam(d, jac)[0]
+    assert lam(d3, j1)[0] == pytest.approx(lam(d2, j0)[0], rel=1e-12)
+    assert lam(d4, j1)[0] == pytest.approx(2.0 * lam(d3, j1)[0], rel=1e-12)
