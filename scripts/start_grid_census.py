@@ -11,7 +11,6 @@ within 1e-6 relative, and the median rollouts per start, closing or not.
 
 Usage:
     PYTHONPATH=src python scripts/start_grid_census.py [--steps 60 ...]
-        [--alphas 0 0.001 ...] [--no-constant-wind]
 """
 
 import argparse
@@ -56,16 +55,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, nargs="+", default=[60],
                     help="final RK4 steps per arc, one census each")
-    ap.add_argument("--alphas", type=float, nargs="+", default=list(ALPHAS))
-    ap.add_argument("--no-constant-wind", action="store_true",
-                    help="leave out the constant-wind scenario")
     args = ap.parse_args()
 
     scn = load_scenario(default_scenario_path())
-    cases = [(f"{a:g}", scn.replace_alpha(a)) for a in args.alphas]
-    if not args.no_constant_wind:
-        cw = load_scenario(default_constant_wind_scenario_path())
-        cases.append((f"cw {cw.alpha:g}", cw))
+    cw = load_scenario(default_constant_wind_scenario_path())
+    cases = [(f"{a:g}", scn.replace_alpha(a)) for a in ALPHAS]
+    cases.append((f"cw {cw.alpha:g}", cw))
     print(f"{'weight':>8s} {'steps':>5s} {'closing':>8s} {'at best':>7s} "
           f"{'rollouts':>8s} {'best cost':>16s} {'time':>7s}")
     for tag, case in cases:

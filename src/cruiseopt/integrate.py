@@ -32,8 +32,7 @@ The shooting residual reads only the co-state at tf, so `terminal_costate`
 runs just the singular-arc solve and the forward sweep over the final arc.
 The shooting solve's central differences move one unknown at a time, so a
 perturbed rollout can take over the leading arcs it shares with the
-unperturbed one (`integrate_arcs(..., reuse=...)`, `shared_arcs`), and,
-when it shares the singular arc, that arc's algebraic co-state.
+unperturbed one (`integrate_arcs(..., reuse=...)`, `shared_arcs`).
 """
 
 from __future__ import annotations
@@ -424,27 +423,16 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
     return traj
 
 
-def last_singular_costate(ctx: CruiseContext, traj: Trajectory,
-                          schedule: ArcSchedule, alpha: float):
-    """(index, co-state) of the last singular sample, from the algebraic
-    solve over the singular arc that `reconstruct_costates` runs: where the
-    forward sweep over the final arc starts."""
-    first, lams = _singular_costates(ctx, traj, schedule, alpha)
-    return first + len(lams) - 1, lams[-1]
-
-
 def terminal_costate(ctx: CruiseContext, traj: Trajectory,
-                     schedule: ArcSchedule, alpha: float, pi_min: float,
-                     singular=None):
+                     schedule: ArcSchedule, alpha: float, pi_min: float):
     """The co-state at tf, bit for bit as `reconstruct_costates` fills it,
     without the backward sweep over the first arc that it does not depend
     on: the singular-arc solves (and their determinant guard), then the
-    forward sweep over the final arc.  `singular`, the
-    `last_singular_costate` of a rollout with the same first two arcs,
-    stands in for the singular-arc solves."""
-    j, lam_j = singular or last_singular_costate(ctx, traj, schedule, alpha)
-    tail = _final_arc_costates(ctx, traj, schedule, j, lam_j, pi_min)
-    return tail[-1] if tail else lam_j
+    forward sweep over the final arc."""
+    first, lams = _singular_costates(ctx, traj, schedule, alpha)
+    tail = _final_arc_costates(ctx, traj, schedule, first + len(lams) - 1,
+                               lams[-1], pi_min)
+    return (tail or lams)[-1]
 
 
 def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,

@@ -24,9 +24,7 @@ from .integrate import (
     Trajectory,
     diagnose,
     integrate_arcs,
-    last_singular_costate,
     reconstruct_costates,
-    shared_arcs,
     terminal_costate,
 )
 # unused here; the benchmark's tracer resolves the nlp.* spans through it
@@ -105,11 +103,9 @@ _SEARCH_STEPS = 20
 
 
 class _Rollout(NamedTuple):
-    """A shooting point's schedule, its rollout, and the (index,
-    co-state) of its last singular sample when the residual needed it."""
+    """A shooting point's schedule and its rollout."""
     schedule: ArcSchedule
     trajectory: Trajectory
-    singular: tuple | None
 
 
 class _LMShooting:
@@ -132,8 +128,7 @@ class _LMShooting:
     Jacobian is rejected.  A perturbed rollout of a central difference
     takes over the arcs its schedule shares with the rollout at the point:
     a t2 column re-integrates the singular and final arcs only, a tf
-    column the final arc only, reusing the singular arc's algebraic
-    co-states too.
+    column the final arc only.
 
     One instance shoots at one resolution: it decodes the scaled unknowns
     into schedules, counts the rollouts it spends in `n_fev`, whole or
@@ -188,19 +183,13 @@ class _LMShooting:
     def _shoot(self, z, square: bool, base: "_Rollout | None" = None):
         """(`residual`, the point's `_Rollout`, None with the residual).
         `base`, the rollout of another point, lends the leading arcs the
-        two schedules share (`shared_arcs`) and, when they share the
-        singular arc, its algebraic co-state: the result is the same, bit
-        for bit, as from scratch.  Every call spends one rollout, whole or
-        partial."""
+        two schedules share: the result is the same, bit for bit, as from
+        scratch.  Every call spends one rollout, whole or partial."""
         sched = self.decode(z)
         if sched is None:
             return None, None
         scn = self.scn
-        reuse = singular = None
-        if base is not None:
-            reuse = (base.schedule, base.trajectory)
-            if shared_arcs(base.schedule, sched) > 1:
-                singular = base.singular
+        reuse = None if base is None else (base.schedule, base.trajectory)
         self.n_fev += 1
         try:
             traj = integrate_arcs(self.ctx, sched, self.x0, self.alpha,
@@ -210,32 +199,30 @@ class _LMShooting:
             r = np.array([(fin[0] - scn.xf) / _POS, (fin[1] - scn.yf) / _POS,
                           (fin[2] - scn.vf) / _SPD])
             if not square:
-                return r, _Rollout(sched, traj, None)
+                return r, _Rollout(sched, traj)
             if self.alpha >= _ALPHA_COLLAPSED:
                 it = 0 if self.constant_wind else 1
                 return (np.append(r, z[it + 1] - z[it] - _ORDER_MARGIN),
-                        _Rollout(sched, traj, None))
+                        _Rollout(sched, traj))
             # Endpoint condition in the alpha-invariant normalized co-state
             # mu = lam / alpha (reconstructed with unit weight):
             # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
             # which stays order one for every alpha and turns into the
             # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
-            singular = singular or last_singular_costate(self.ctx, traj,
-                                                         sched, 1.0)
-            mu_m = terminal_costate(self.ctx, traj, sched, 1.0, scn.pi_min,
-                                    singular)[3]
+            mu_m = terminal_costate(self.ctx, traj, sched, 1.0,
+                                    scn.pi_min)[3]
         except CruiseOptError:
             return None, None
         if not np.isfinite(mu_m) or mu_m == 0.0:
             return None, None
         return (np.append(r, 1.0 / mu_m - self.alpha / (self.alpha - 1.0)),
-                _Rollout(sched, traj, singular))
+                _Rollout(sched, traj))
 
     def _jacobian(self, z, square: bool, rollout) -> np.ndarray | None:
         """Central differences; None when a perturbed rollout fails.  Each
         perturbed rollout takes over the arcs it shares with `rollout`, the
         one at z: a t2 column keeps the first arc, a tf column also the
-        singular arc and its co-states."""
+        singular arc."""
         cols = []
         for dz in _FD_STEP * np.eye(len(z)):
             rp = self._shoot(z + dz, square, rollout)[0]

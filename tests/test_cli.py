@@ -1,6 +1,7 @@
 """CLI and serialization tests: round trips, CSV schema, determinism."""
 
 import csv
+import importlib.util
 import json
 import os
 import shutil
@@ -15,8 +16,10 @@ from cruiseopt import cli, solver
 from cruiseopt.cli import (build_parser, emit_direct_csv, emit_trajectory_csv,
                            main, write_solution_dir)
 from cruiseopt.integrate import ArcSchedule
-from cruiseopt.scenario import (default_aircraft_path, default_scenario_path,
-                                load_scenario, save_scenario)
+from cruiseopt.scenario import (default_aircraft_path,
+                                default_constant_wind_scenario_path,
+                                default_scenario_path, load_scenario,
+                                save_scenario)
 
 
 class TestScenarioRoundTrip:
@@ -142,6 +145,20 @@ def test_case_study_script_runs_fast(tmp_path):
     assert summary["sweep_converged"] == [True, True, True]
     # the first bang arc grows with the weight (0.1, 0.3, 0.5)
     assert summary["t1_trend"] == sorted(summary["t1_trend"])
+
+
+def test_start_grid_census_closes_every_constant_wind_start():
+    """`scripts/start_grid_census.py` runs the grid through the solver's own
+    per-start loop: under constant wind all 6 starts close, at the best
+    cost, at 20 RK4 steps per arc."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "start_grid_census", root / "scripts" / "start_grid_census.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    c = mod.census(load_scenario(default_constant_wind_scenario_path()), 20)
+    assert (c["starts"], c["closing"]) == (6, 6)
+    assert c["at_best"] == c["closing"]
 
 
 class TestArgumentHandling:
