@@ -351,8 +351,9 @@ def solve_direct(scn: Scenario, options: DirectOptions | None = None,
         t_nodes = np.linspace(0.0, tf0, N, endpoint=False)
         chi0 = np.interp(t_nodes, traj.t, traj.states[:, 4])
         # throttle is discontinuous at the switches; interpolating across the
-        # junctions would smear the steps, so build it piecewise per arc
-        pi0 = np.where(t_nodes < sched.t1, scn.pi_max, scn.pi_min)
+        # junctions would smear the steps, so build it piecewise per arc,
+        # with the final arc at the level the rollout flew it
+        pi0 = np.where(t_nodes < sched.t1, scn.pi_max, traj.throttle[-1])
         mid = traj.arc_id == 1
         on_sing = (t_nodes >= sched.t1) & (t_nodes <= sched.t2)
         if np.any(mid) and np.any(on_sing):

@@ -384,16 +384,15 @@ def _singular_costates(ctx: CruiseContext, traj: Trajectory,
     return first, np.column_stack(lam.as_tuple())
 
 
-def _final_arc_costates(ctx: CruiseContext, traj: Trajectory,
-                        schedule: ArcSchedule, j: int, lam_j,
-                        pi_min: float) -> list:
+def _final_arc_costates(ctx: CruiseContext, traj: Trajectory, j: int,
+                        lam_j) -> list:
     """Co-states at the samples after j, the last singular sample, from the
-    co-state sweep forward over the final bang arc; empty when the rollout
-    skipped that arc."""
+    co-state sweep forward over the final bang arc, at the level the rollout
+    flew it; empty when the rollout skipped that arc."""
     if not np.any(traj.arc_id == 2):
         return []
-    pi_end = pi_min if schedule.final_throttle is None else schedule.final_throttle
-    return _costate_sweep(ctx, pi_end, traj.t[j:], traj.states[j:], lam_j)
+    return _costate_sweep(ctx, float(traj.throttle[-1]), traj.t[j:],
+                          traj.states[j:], lam_j)
 
 
 def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
@@ -416,7 +415,7 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
                                traj.states[first::-1], lams[0])
         lam[:first] = chain[::-1]
 
-    tail = _final_arc_costates(ctx, traj, schedule, last, lams[-1], pi_min)
+    tail = _final_arc_costates(ctx, traj, last, lams[-1])
     if tail:
         lam[last + 1:] = tail
     traj.costates = lam
@@ -430,8 +429,7 @@ def terminal_costate(ctx: CruiseContext, traj: Trajectory,
     on: the singular-arc solves (and their determinant guard), then the
     forward sweep over the final arc."""
     first, lams = _singular_costates(ctx, traj, schedule, alpha)
-    tail = _final_arc_costates(ctx, traj, schedule, first + len(lams) - 1,
-                               lams[-1], pi_min)
+    tail = _final_arc_costates(ctx, traj, first + len(lams) - 1, lams[-1])
     return (tail or lams)[-1]
 
 

@@ -1,12 +1,15 @@
 """Switching-point solver: shoot on (chi0, t1, t2, tf) with feedback controls.
 
-The throttle structure is fixed to max / singular / bang; the heading follows
-the navigation ODE from chi0.  The unknowns close a square system: the
-scaled terminal position and speed plus the endpoint condition on the mass
+The throttle structure is max / singular / bang; the heading follows the
+navigation ODE from chi0.  The unknowns close a square system: the scaled
+terminal position and speed plus the endpoint condition on the mass
 co-state, solved by a Levenberg-Marquardt shooting method from a fixed grid
-of starts, tried in order until one closes.  For a constant wind field the
-initial heading drops out of the unknowns: it is pinned by the endpoint
-geometry and the final time.
+of starts, tried in order until one closes.  Each shooting solve holds one
+structure fixed, the level of the final bang arc included.  When the solve
+with the start's final arc (idle) does not close, a second solve with the
+other final arc (max throttle) starts from where the first one stopped.
+For a constant wind field the initial heading drops out of the unknowns:
+it is pinned by the endpoint geometry and the final time.
 """
 
 from __future__ import annotations
@@ -109,11 +112,13 @@ class _Rollout(NamedTuple):
 
 
 class _LMShooting:
-    """Levenberg-Marquardt shooting solve on the switching-point system.
+    """Levenberg-Marquardt shooting solve on the switching-point system of
+    one arc structure.
 
     The square system of first-order conditions is the three scaled
     terminal residuals plus the endpoint condition on the mass co-state,
-    lam_m(tf) = alpha - 1, which closes it exactly at the optimum.  In the
+    lam_m(tf) = alpha - 1, which closes it exactly at the optimum.  The
+    weight fixes this fourth condition once, at construction: in the
     asymptotic regime the co-state equation is driven only after a
     least-norm projection onto the terminal-condition manifold (the
     feasibility-only system is underdetermined); from `_ALPHA_COLLAPSED` up
@@ -130,33 +135,38 @@ class _LMShooting:
     a t2 column re-integrates the singular and final arcs only, a tf
     column the final arc only.
 
-    One instance shoots at one resolution: it decodes the scaled unknowns
-    into schedules, counts the rollouts it spends in `n_fev`, whole or
-    partial, and holds the final-arc structure, which `run` may switch.
+    One instance shoots at one resolution with one final-arc level
+    (`final_throttle`, None for idle): it decodes the scaled unknowns,
+    which end in (t1, t2, tf), into schedules and counts the rollouts it
+    spends in `n_fev`, whole or partial.  Trying the other final arc is
+    another instance's solve (`_solve_start`).
     """
 
-    def __init__(self, ctx: CruiseContext, scn: Scenario, alpha: float,
-                 steps: int, final_throttle: float | None = None):
+    def __init__(self, ctx: CruiseContext, scn: Scenario, steps: int,
+                 final_throttle: float | None):
         self.ctx = ctx
         self.scn = scn
-        self.alpha = alpha
         self.steps = steps          # RK4 steps per arc
         self.final_throttle = final_throttle
         self.constant_wind = isinstance(scn.wind, ConstantWind)
         self.x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
         self.n_fev = 0              # rollouts spent
+        # the fourth condition: the collapsed singular arc pinned shut, the
+        # co-state equation after feasibility, or the co-state equation
+        self.fourth = ("pin" if scn.alpha >= _ALPHA_COLLAPSED
+                       else "asymptotic" if scn.alpha < _ALPHA_ASYMPTOTIC
+                       else "costate")
 
     def decode(self, z) -> ArcSchedule | None:
-        """The schedule of a scaled unknown vector; None when its times
-        are out of order."""
+        """The schedule of a scaled unknown vector, in plain floats; None
+        when its times are out of order."""
+        t1, t2, tf = (float(zi * TIME_SCALE) for zi in z[-3:])
         if self.constant_wind:
-            t1, t2, tf = (zi * TIME_SCALE for zi in z)
             if tf <= 0.0:
                 return None
             chi0 = chi0_constant_wind(self.scn, tf)
         else:
-            chi0 = z[0]
-            t1, t2, tf = (zi * TIME_SCALE for zi in z[1:])
+            chi0 = float(z[0])
         if not 0.0 <= t1 <= t2 <= tf:
             return None
         return ArcSchedule(t1=t1, t2=t2, tf=tf, chi0=chi0,
@@ -166,25 +176,21 @@ class _LMShooting:
         """Pull switch times strictly inside the ordering constraints so
         central differences never leave the schedule domain."""
         z = np.array(z, dtype=float)
-        it = 0 if self.constant_wind else 1
-        t1, t2, tf = z[it], z[it + 1], z[it + 2]
+        t1, t2, tf = z[-3:]
         t1 = max(t1, _ORDER_MARGIN)
         tf = max(tf, 3.0 * _ORDER_MARGIN)
         t2 = min(max(t2, t1 + _ORDER_MARGIN), tf - _ORDER_MARGIN)
         t1 = min(t1, t2 - _ORDER_MARGIN)
-        z[it], z[it + 1], z[it + 2] = t1, t2, tf
+        z[-3:] = t1, t2, tf
         return z
 
-    def residual(self, z, square: bool) -> np.ndarray | None:
-        """The scaled terminal residuals and, when `square`, the fourth
-        condition; None when the schedule or its rollout fails."""
-        return self._shoot(z, square)[0]
-
     def _shoot(self, z, square: bool, base: "_Rollout | None" = None):
-        """(`residual`, the point's `_Rollout`, None with the residual).
-        `base`, the rollout of another point, lends the leading arcs the
-        two schedules share: the result is the same, bit for bit, as from
-        scratch.  Every call spends one rollout, whole or partial."""
+        """(the scaled terminal residuals and, when `square`, the fourth
+        condition; the point's `_Rollout`), or (None, None) when the
+        schedule or its rollout fails.  `base`, the rollout of another
+        point, lends the leading arcs the two schedules share: the result
+        is the same, bit for bit, as from scratch.  Every call spends one
+        rollout, whole or partial."""
         sched = self.decode(z)
         if sched is None:
             return None, None
@@ -192,7 +198,7 @@ class _LMShooting:
         reuse = None if base is None else (base.schedule, base.trajectory)
         self.n_fev += 1
         try:
-            traj = integrate_arcs(self.ctx, sched, self.x0, self.alpha,
+            traj = integrate_arcs(self.ctx, sched, self.x0, scn.alpha,
                                   scn.pi_min, scn.pi_max,
                                   steps_per_arc=self.steps, reuse=reuse)
             fin = traj.final_state
@@ -200,9 +206,8 @@ class _LMShooting:
                           (fin[2] - scn.vf) / _SPD])
             if not square:
                 return r, _Rollout(sched, traj)
-            if self.alpha >= _ALPHA_COLLAPSED:
-                it = 0 if self.constant_wind else 1
-                return (np.append(r, z[it + 1] - z[it] - _ORDER_MARGIN),
+            if self.fourth == "pin":
+                return (np.append(r, z[-2] - z[-3] - _ORDER_MARGIN),
                         _Rollout(sched, traj))
             # Endpoint condition in the alpha-invariant normalized co-state
             # mu = lam / alpha (reconstructed with unit weight):
@@ -215,7 +220,7 @@ class _LMShooting:
             return None, None
         if not np.isfinite(mu_m) or mu_m == 0.0:
             return None, None
-        return (np.append(r, 1.0 / mu_m - self.alpha / (self.alpha - 1.0)),
+        return (np.append(r, 1.0 / mu_m - scn.alpha / (scn.alpha - 1.0)),
                 _Rollout(sched, traj))
 
     def _jacobian(self, z, square: bool, rollout) -> np.ndarray | None:
@@ -290,40 +295,15 @@ class _LMShooting:
                 nu *= 2.0
         return z, r
 
-    def run(self, z0) -> tuple[np.ndarray, bool]:
-        """Solve from z0; returns (z, whether the system closed).
-
-        If the system does not close with the current final-arc
-        structure, the solve retries with the other one (idle or max
-        throttle), started from a short last arc, and keeps that structure
-        only when the system then closes.  A collapsing idle final arc
-        means the terminal speed target sits above the singular-arc speed
-        and the last arc must accelerate.  The current structure is
-        abandoned early, without spending the rest of its trial budget,
-        once an accepted step leaves its final arc pinned at the ordering
-        margin while cutting the squared residual by less than 2 %: the
-        retry then starts from that iterate.
-        """
-        z, ok = self._run_structure(z0)
-        if ok:
-            return z, True
-        orig = self.final_throttle
-        self.final_throttle = self.scn.pi_max if orig is None else None
-        it = 0 if self.constant_wind else 1
-        z_short = z.copy()
-        z_short[it + 1] = z_short[it + 2] - 2e-3  # a short last arc
-        z2, ok = self._run_structure(z_short)
-        if ok:
-            return z2, True
-        self.final_throttle = orig
-        return z, False
-
-    def _run_structure(self, z0) -> tuple[np.ndarray, bool]:
+    def solve(self, z0) -> tuple[np.ndarray, bool]:
+        """Solve from z0; returns (z, whether the system closed).  In the
+        asymptotic regime the terminal conditions are closed first and the
+        co-state equation is then driven from there best-effort: the system
+        counts as closed when the terminal conditions are."""
         z = self._nudge(z0)
-        if self.alpha >= _ALPHA_ASYMPTOTIC:
+        if self.fourth != "asymptotic":
             z, r = self._levenberg_marquardt(z, True)
             return z, r is not None and _closed(r)
-        # feasibility first, then the co-state equation best-effort
         z, r = self._levenberg_marquardt(z, False)
         if r is None:
             return z, False
@@ -374,17 +354,33 @@ def _start_grid(scn: Scenario, constant_wind: bool) -> list[np.ndarray]:
 def _solve_start(ctx: CruiseContext, scn: Scenario, z, final_throttle,
                  resolutions):
     """Shoot from one start at each resolution in turn (RK4 steps per arc),
-    each from the result of the last, until one does not close.  Returns
-    (the last `_LMShooting`, its z, whether every resolution closed, the
-    rollouts spent)."""
+    each from the result of the last, until one does not close.
+
+    At each resolution the start's final arc (idle when `final_throttle` is
+    None) is solved first.  When that does not close, a second solve with
+    the other final arc (max throttle, or idle) starts from the first one's
+    last iterate with its last arc cut short, and is kept only when it
+    closes: a collapsing idle final arc means the terminal speed target sits
+    above the singular-arc speed and the last arc must accelerate.  A solve
+    gives up early once its final arc stalls at the ordering margin (see
+    `_LMShooting._levenberg_marquardt`).  Returns (the last kept
+    `_LMShooting`, its z, whether every resolution closed, the rollouts
+    spent)."""
     n_fev = 0
     for steps in resolutions:
-        shooting = _LMShooting(ctx, scn, scn.alpha, steps, final_throttle)
-        z, closed = shooting.run(z)
+        shooting = _LMShooting(ctx, scn, steps, final_throttle)
+        z, closed = shooting.solve(z)
         n_fev += shooting.n_fev
-        final_throttle = shooting.final_throttle
         if not closed:
-            break
+            other = scn.pi_max if final_throttle is None else None
+            retry = _LMShooting(ctx, scn, steps, other)
+            z_short = z.copy()
+            z_short[-2] = z_short[-1] - 2e-3  # a short last arc
+            z_retry, closed = retry.solve(z_short)
+            n_fev += retry.n_fev
+            if not closed:
+                break
+            shooting, z, final_throttle = retry, z_retry, other
     return shooting, z, closed, n_fev
 
 
@@ -571,24 +567,25 @@ def verify_solution(sol: Solution,
         np.isfinite(traj.costates)
     )
 
-    if has_costates:
+    if not has_costates:
+        for name, threshold in (("hamiltonian_constancy", tol.tol_H),
+                                ("switching_structure", tol.tol_S),
+                                ("legendre_clebsch", 0.0),
+                                ("transversality_lam_m", 0.0),
+                                ("heading_costate_consistency", 0.0)):
+            rep.checks.append(CheckResult(name, None, math.nan, threshold,
+                                          "no co-states"))
+    else:
         dev = np.abs(traj.H + alpha)
         drift = float(np.nanmax(dev))
         rep.checks.append(CheckResult(
             "hamiltonian_constancy", drift <= tol.tol_H, drift, tol.tol_H,
             _where(traj, dev > tol.tol_H)))
-    else:
-        rep.checks.append(CheckResult(
-            "hamiltonian_constancy", None, math.nan, tol.tol_H,
-            "no co-states"))
 
-    if has_costates:
         on_max = (traj.arc_id == 0) & (traj.t < sol.schedule.t1)
         on_end = (traj.arc_id == 2) & (traj.t > sol.schedule.t2)
-        final_is_max = (sol.schedule.final_throttle is not None
-                        and sol.schedule.final_throttle
-                        >= sol.scenario.pi_max)
-        if final_is_max:
+        # the level the final arc flew, as the rollout recorded it
+        if traj.throttle[-1] >= sol.scenario.pi_max:
             on_max = on_max | on_end
             on_min = np.zeros(len(traj.t), dtype=bool)
         else:
@@ -609,12 +606,7 @@ def verify_solution(sol: Solution,
         worst = max(smax, -smin, ssing)
         rep.checks.append(CheckResult(
             "switching_structure", ok, worst, tol.tol_S, detail))
-    else:
-        rep.checks.append(CheckResult(
-            "switching_structure", None, math.nan, tol.tol_S, "no co-states"))
 
-    if has_costates:
-        on_sing = traj.arc_id == 1
         lc_min = float(np.nanmin(traj.lc[on_sing])) if np.any(on_sing) else 0.0
         rep.checks.append(CheckResult(
             "legendre_clebsch", lc_min >= -tol.tol_LC, lc_min, tol.tol_LC,
@@ -636,11 +628,6 @@ def verify_solution(sol: Solution,
         rep.checks.append(CheckResult(
             "heading_costate_consistency", chi_err <= tol.tol_chi, chi_err,
             tol.tol_chi, _where(traj, resid > tol.tol_chi)))
-    else:
-        for name in ("legendre_clebsch", "transversality_lam_m",
-                     "heading_costate_consistency"):
-            rep.checks.append(CheckResult(name, None, math.nan, 0.0,
-                                          "no co-states"))
 
     n_bad = int(np.sum(~traj.envelope_ok))
     rep.checks.append(CheckResult(

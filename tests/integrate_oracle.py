@@ -184,15 +184,15 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
 
 
 def shooting_residual(shooting, z, with_costate: bool):
-    """`_LMShooting.residual` with the co-state from the library's full
-    `reconstruct_costates`."""
+    """The residual of `_LMShooting._shoot` with the co-state from the
+    library's full `reconstruct_costates`."""
     sched = shooting.decode(z)
     if sched is None:
         return None
     scn = shooting.scn
     try:
         traj = lib_integrate(shooting.ctx, sched, shooting.x0,
-                             shooting.alpha, scn.pi_min, scn.pi_max,
+                             scn.alpha, scn.pi_min, scn.pi_max,
                              steps_per_arc=shooting.steps)
         fin = traj.final_state
         r = np.array([(fin[0] - scn.xf) / STATE_SCALES[0],
@@ -204,7 +204,7 @@ def shooting_residual(shooting, z, with_costate: bool):
             mu_m = traj.costates[-1, 3]
             if not np.isfinite(mu_m) or mu_m == 0.0:
                 return None
-            alpha = shooting.alpha
+            alpha = scn.alpha
             r = np.append(r, 1.0 / mu_m - alpha / (alpha - 1.0))
         return r
     except CruiseOptError:
@@ -231,8 +231,7 @@ def terminal_costate(ctx: CruiseContext, traj: Trajectory,
     """The co-state at tf from the per-sample singular-arc solves and the
     library's forward sweep over the final arc."""
     first, lams = singular_costates(ctx, traj, schedule, alpha)
-    tail = _final_arc_costates(ctx, traj, schedule, first + len(lams) - 1,
-                               lams[-1], pi_min)
+    tail = _final_arc_costates(ctx, traj, first + len(lams) - 1, lams[-1])
     return (tail or lams)[-1]
 
 

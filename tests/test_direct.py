@@ -14,9 +14,11 @@ from cruiseopt.direct import (_V_FLOOR, DirectGrid, DirectOptions,
                               _DirectRollout, chattering_metric,
                               euler_rollout, solve_direct)
 from cruiseopt.errors import ValidationError
+from cruiseopt.integrate import ArcSchedule
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 make_context)
+from cruiseopt.solver import realize_solution
 
 SCN = load_scenario(default_scenario_path())
 SCN_CW = load_scenario(default_constant_wind_scenario_path())
@@ -265,6 +267,32 @@ def test_solve_direct_rolls_out_one_column_at_a_time(monkeypatch):
     solve_direct(SCN, DirectOptions(N=30), alpha=0.4)
     assert widths
     assert all(w == () for w in widths)
+
+
+@pytest.mark.parametrize("alpha, sched, final_level", [
+    # the continuation chain's alpha = 0 optimum flies a max-throttle final
+    # arc; the 1600-node grid puts one node after t2
+    (0.0, ArcSchedule(t1=4.06855820455127, t2=7500.744223779601,
+                      tf=7506.783852746405, chi0=0.7482981091337462,
+                      final_throttle=1.0), "pi_max"),
+    (0.4, ArcSchedule(t1=46.37409392679744, t2=6102.6089917743075,
+                      tf=6157.216316030232, chi0=0.6936718863233733),
+     "pi_min")])
+def test_warm_start_seeds_the_final_arc_at_its_flown_level(
+        monkeypatch, alpha, sched, final_level):
+    """The warm start seeds the throttle of every node after t2 at the
+    level the indirect rollout flew its final arc."""
+    n = 1600
+    seeds = []
+    monkeypatch.setattr(direct, "solve_augmented_lagrangian",
+                        lambda rollout, u0: seeds.append(u0))
+    scn = SCN.replace_alpha(alpha)
+    solve_direct(scn, DirectOptions(N=n),
+                 warm_start=realize_solution(scn, sched, steps=60))
+    pi = seeds[0][n:2 * n]
+    after = np.linspace(0.0, sched.tf, n, endpoint=False) > sched.t2
+    assert np.count_nonzero(after) >= 1
+    assert np.all(pi[after] == getattr(scn, final_level))
 
 
 def test_rollout_uses_controls_as_given():

@@ -409,13 +409,13 @@ def _decision(sched, constant_wind=False):
 def test_endgame_residual_matches_full_reconstruction(tag):
     wind, alpha, sched = COMMITTED[tag]
     scn = SCENARIOS[wind]
-    shooting = _LMShooting(make_context(scn), scn, alpha, 40,
+    shooting = _LMShooting(make_context(scn), scn.replace_alpha(alpha), 40,
                            final_throttle=sched.final_throttle)
     z0 = _decision(sched, wind == "constant")
     rng = np.random.default_rng(11)
     for k in range(6):
         z = z0 if k == 0 else z0 + rng.normal(0.0, 1e-3, len(z0))
-        got = shooting.residual(z, True)
+        got = shooting._shoot(z, True)[0]
         ref = integrate_oracle.shooting_residual(shooting, z, True)
         _assert_same(got is None, ref is None)
         if got is not None:
@@ -435,9 +435,9 @@ def test_endgame_residual_failures_match_full_reconstruction():
         integrate_arcs(CTX, stall, X0, alpha, SCN.pi_min, SCN.pi_max,
                        steps_per_arc=40)
     for s in (degenerate, stall):
-        shooting = _LMShooting(CTX, SCN, alpha, 40,
+        shooting = _LMShooting(CTX, SCN.replace_alpha(alpha), 40,
                                final_throttle=s.final_throttle)
-        assert shooting.residual(_decision(s), True) is None
+        assert shooting._shoot(_decision(s), True)[0] is None
         assert integrate_oracle.shooting_residual(
             shooting, _decision(s), True) is None
 
@@ -447,8 +447,8 @@ def test_endgame_residual_skips_the_first_arc_sweep():
     wind = CountingWind(SCN.wind)
     ctx.wind = wind
     sched = COMMITTED["0.4"][2]
-    shooting = _LMShooting(ctx, SCN, 0.4, 20)
-    shooting.residual(_decision(sched), True)
+    shooting = _LMShooting(ctx, SCN.replace_alpha(0.4), 20, None)
+    shooting._shoot(_decision(sched), True)
     # the rollout (240 stages), one co-state solve over the singular
     # samples and the t1 junction (1), the forward sweep over the last arc
     # (21 samples, 20 midpoints); reconstruct_costates also sweeps the
@@ -776,10 +776,10 @@ def test_perturbed_rollouts_that_reuse_arcs_match_from_scratch(monkeypatch,
     wind, alpha, sched, square = REUSE_CASES[case]
     scn = SCENARIOS[wind]
     constant_wind = wind == "constant"
-    shooting = _LMShooting(make_context(scn), scn, alpha, 40,
+    shooting = _LMShooting(make_context(scn), scn.replace_alpha(alpha), 40,
                            final_throttle=sched.final_throttle)
     z0 = _decision(sched, constant_wind)
-    assert shooting.residual(z0, square) is not None
+    assert shooting._shoot(z0, square)[0] is not None
     base = shooting._shoot(z0, square)[1]
     if case.startswith("0.85"):
         assert base.trajectory.clamp_count == 133
@@ -810,7 +810,7 @@ def test_perturbed_rollouts_that_reuse_arcs_match_from_scratch(monkeypatch,
         assert len(integrated) == 3 - kept[name]
         _assert_same(rollout(), reused)
         got = shooting._shoot(z, square, base)[0]
-        ref = shooting.residual(z, square)
+        ref = shooting._shoot(z, square)[0]
         _assert_same(ref is None, got is None)
         if got is not None:
             _assert_same(ref, got)

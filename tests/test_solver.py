@@ -82,12 +82,21 @@ class TestStartGrid:
 
 class TestRolloutDecode:
     def test_round_trip(self, context, scenario):
-        ro = _LMShooting(context, scenario, 0.4, 50)
+        ro = _LMShooting(context, scenario.replace_alpha(0.4), 50, None)
         z = np.array([0.7, 0.05, 6.0, 6.1])
         sched = ro.decode(z)
         assert sched.chi0 == 0.7
         assert sched.t1 == pytest.approx(0.05 * TIME_SCALE)
         assert sched.tf == pytest.approx(6.1 * TIME_SCALE)
+
+
+def test_solved_schedule_and_cost_are_plain_floats(sol_04, sol_cw):
+    """The shooting solve decodes its unknowns into Python floats, so the
+    rollouts run plain-float arithmetic on the schedule times."""
+    for sol in (sol_04, sol_cw):
+        s = sol.schedule
+        assert {type(v) for v in (s.t1, s.t2, s.tf, s.chi0, sol.cost)} == {
+            float}
 
 
 def test_verify_report_round_trip(sol_04):
@@ -348,7 +357,8 @@ def _near_optimum(context, scenario):
                         tf=6157.216316030232, chi0=0.6936718863233733)
     z = np.array([sched.chi0, sched.t1, sched.t2, sched.tf]) / np.array(
         [1.0, TIME_SCALE, TIME_SCALE, TIME_SCALE])
-    return _LMShooting(context, scenario, 0.4, 20), z + [1e-3, 2e-3, 3e-3,
+    return _LMShooting(context, scenario.replace_alpha(0.4), 20,
+                       None), z + [1e-3, 2e-3, 3e-3,
                                                          -3e-3]
 
 
