@@ -12,7 +12,9 @@ damped Gauss-Newton method whose terminal-state Jacobian is exact: the
 Euler map is differentiated by its adjoint (reverse) recursion,
 Lambda_k = Lambda_{k+1} A_k from Lambda_N = I, over the node states of the
 rollout that was just accepted (Bryson & Ho, Applied Optimal Control,
-ch. 2).
+ch. 2).  The inner minimizations are inexact: each stops once its penalized
+model stalls, and the multiplier update takes over from there (Conn, Gould
+& Toint, SIAM J. Numer. Anal. 28, 1991).
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ _RHO0 = 1e6
 _RHO_GROWTH = 10.0
 _RHO_MAX = 1e12
 _MAX_OUTER = 8         # augmented-Lagrangian iterations
-_MAXITER_INNER = 150   # Gauss-Newton steps per outer iteration
+_MAXITER_INNER = 150   # Gauss-Newton steps per outer iteration, at most;
+_STALL_STEPS = 5       # fewer once this many accepted steps cut the
+_STALL_RTOL = 1e-7     # penalized model by no more than this share of it
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,11 @@ def _gauss_newton(ro: _DirectRollout, z, nu, rho: float):
     gradient.  The Levenberg-Marquardt system (mu I + rho Jc' Jc) d = -g then
     reduces to a 3x3 solve by the push-through identity.  This is far more
     robust here than a generic quasi-Newton method, whose unit-norm first
-    steps explode whenever a single gradient component dominates.  Returns
+    steps explode whenever a single gradient component dominates.  It stops
+    when no step is accepted, when a step barely moves z, or when the last
+    `_STALL_STEPS` accepted steps together cut the model by no more than
+    `_STALL_RTOL` of its size: a warm start crawls there for the rest of its
+    `_MAXITER_INNER` steps without getting closer to feasibility.  Returns
     (z, J, c, node states, evaluations) at the last accepted point.
     """
 
@@ -261,6 +269,7 @@ def _gauss_newton(ro: _DirectRollout, z, nu, rho: float):
     alpha = ro.alpha
     z = np.clip(np.array(z, dtype=float), ro.lower, ro.upper)
     m0, j, c, states = penalized(z)
+    trail = [m0]
     nfev = 1
     mu = 1e3
     for _ in range(_MAXITER_INNER):
@@ -289,7 +298,9 @@ def _gauss_newton(ro: _DirectRollout, z, nu, rho: float):
             mu *= 4.0
             if mu > 1e14:
                 break
-        if not accepted or moved < 1e-12:
+        trail.append(m0)
+        if (not accepted or moved < 1e-12 or (len(trail) > _STALL_STEPS and
+                trail[-1 - _STALL_STEPS] - m0 <= _STALL_RTOL * abs(m0))):
             break
     return z, j, c, states, nfev
 

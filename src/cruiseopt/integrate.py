@@ -423,7 +423,7 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
 
 
 def terminal_costate(ctx: CruiseContext, traj: Trajectory,
-                     schedule: ArcSchedule, alpha: float, pi_min: float):
+                     schedule: ArcSchedule, alpha: float):
     """The co-state at tf, bit for bit as `reconstruct_costates` fills it,
     without the backward sweep over the first arc that it does not depend
     on: the singular-arc solves (and their determinant guard), then the

@@ -214,8 +214,7 @@ class _LMShooting:
             # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
             # which stays order one for every alpha and turns into the
             # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
-            mu_m = terminal_costate(self.ctx, traj, sched, 1.0,
-                                    scn.pi_min)[3]
+            mu_m = terminal_costate(self.ctx, traj, sched, 1.0)[3]
         except CruiseOptError:
             return None, None
         if not np.isfinite(mu_m) or mu_m == 0.0:

@@ -227,7 +227,7 @@ def singular_costates(ctx: CruiseContext, traj: Trajectory,
 
 
 def terminal_costate(ctx: CruiseContext, traj: Trajectory,
-                     schedule: ArcSchedule, alpha: float, pi_min: float):
+                     schedule: ArcSchedule, alpha: float):
     """The co-state at tf from the per-sample singular-arc solves and the
     library's forward sweep over the final arc."""
     first, lams = singular_costates(ctx, traj, schedule, alpha)

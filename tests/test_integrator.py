@@ -428,7 +428,7 @@ def test_endgame_residual_failures_match_full_reconstruction():
     traj = integrate_arcs(CTX, degenerate, X0, alpha, SCN.pi_min,
                           SCN.pi_max, steps_per_arc=40)
     with pytest.raises(IllConditionedSystemError):
-        terminal_costate(CTX, traj, degenerate, 1.0, SCN.pi_min)
+        terminal_costate(CTX, traj, degenerate, 1.0)
     # a long idle last arc stalls the rollout
     stall = ArcSchedule(sched.t1, sched.t2, sched.t2 + 3000.0, sched.chi0)
     with pytest.raises(IntegrationError):
@@ -495,7 +495,7 @@ def test_costate_sweeps_step_plain_floats(monkeypatch):
     traj = integrate_arcs(CTX, sched, X0, 0.4, SCN.pi_min, SCN.pi_max,
                           steps_per_arc=20)
     reconstruct_costates(CTX, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
-    lam_f = terminal_costate(CTX, traj, sched, 1.0, SCN.pi_min)
+    lam_f = terminal_costate(CTX, traj, sched, 1.0)
     assert types == {float}
     # backward and forward sweep, then the forward sweep alone
     assert [len(chain) for chain in sweeps] == [20, 20, 20]
@@ -525,7 +525,7 @@ def test_terminal_costate_is_the_last_reconstructed_row(case):
     ctx = make_context(scn)
     traj = integrate_arcs(ctx, sched, (scn.x0, scn.y0, scn.v0, scn.m0),
                           alpha, scn.pi_min, scn.pi_max, steps_per_arc=40)
-    lam_f = terminal_costate(ctx, traj, sched, alpha, scn.pi_min)
+    lam_f = terminal_costate(ctx, traj, sched, alpha)
     traj = reconstruct_costates(ctx, traj, sched, alpha, scn.pi_min,
                                 scn.pi_max)
     assert _bits(lam_f) == _bits(traj.costates[-1])
@@ -663,9 +663,9 @@ def test_array_pass_matches_the_per_sample_oracle(request, case, steps):
                                                    weight)[1])
     assert got == ref
     assert _failure_or(
-        lambda: terminal_costate(ctx, traj, sched, 1.0, scn.pi_min)) == \
+        lambda: terminal_costate(ctx, traj, sched, 1.0)) == \
         _failure_or(lambda: integrate_oracle.terminal_costate(
-            ctx, traj, sched, 1.0, scn.pi_min))
+            ctx, traj, sched, 1.0))
 
     lib = replace(traj, throttle=traj.throttle.copy())
     ora = replace(traj, throttle=traj.throttle.copy())
