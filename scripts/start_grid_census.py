@@ -20,8 +20,8 @@ import time
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 make_context)
-from cruiseopt.solver import (_SEARCH_STEPS, _solve_start, _start_grid,
-                              realize_solution)
+from cruiseopt.solver import (_SEARCH_STEPS, _realized, _solve_start,
+                              _start_grid)
 from cruiseopt.wind import ConstantWind
 
 ALPHAS = (0.0, 0.001, 0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.8, 0.9, 1.0)
@@ -34,12 +34,11 @@ def census(scn, steps: int) -> dict:
     resolutions = (min(_SEARCH_STEPS, steps), steps)
     costs, rollouts = [], []
     for z in _start_grid(scn, isinstance(scn.wind, ConstantWind)):
-        shooting, z, closed, n_fev = _solve_start(ctx, scn, z, None,
-                                                  resolutions)
+        _, closed, n_fev, rollout = _solve_start(ctx, scn, z, None,
+                                                 resolutions)
         rollouts.append(n_fev)
         if closed:
-            costs.append(realize_solution(scn, shooting.decode(z),
-                                          steps=steps).cost)
+            costs.append(_realized(ctx, scn, *rollout, scn.alpha).cost)
     best = min(costs, default=None)
     return {
         "starts": len(rollouts),

@@ -14,19 +14,21 @@ component, in the operation order of the generic tuple form it replaced, so
 results are bit-identical to it.  Each RK4 stage makes one fused lookup of
 the wind and its gradients (`wind_and_gradients`), which feeds the
 dynamics, the heading rate and the singular feedback.  A rollout records
-states and throttles only.
+states and throttles only: each sample holds the throttle of the step it
+starts, on the singular arc the clamped feedback of that step's first stage.
 
 After a rollout the closed forms run once per arc on NumPy arrays, not once
 per sample.  The algebraic co-state on the singular arc is one
 `solve_costates_on_singular` call on the arc's state columns.  It seeds the
 co-state sweeps over the bang arcs, which integrate the adjoint equation
-(`pmp.costate_coefficients`, `pmp.adjoint_rate`) alone along the stored
-states, backward over the first arc and forward over the last, so no state
-is integrated twice or backward.  The diagnostics pass
-(`diagnose`) refills the exact singular throttle one sample at a time on
-plain floats, then computes the determinant, Mach number, envelope flags,
-switching function, Hamiltonian and Legendre-Clebsch value as array
-expressions over all samples.
+alone along the stored states, backward over the first arc and forward
+over the last, so no state is integrated twice or backward.  What a sweep
+needs besides the co-state (`pmp.costate_coefficients`) is array
+expressions over its arc; only the adjoint's RK4 recurrence
+(`pmp.adjoint_rate`) loops on plain floats.  The diagnostics pass
+(`diagnose`) evaluates the feedback at the singular arc's last sample only,
+then computes the determinant, Mach number, envelope flags, switching
+function, Hamiltonian and Legendre-Clebsch value as array expressions.
 
 The shooting residual reads only the co-state at tf, so `terminal_costate`
 runs just the singular-arc solve and the forward sweep over the final arc.
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmosphere import check_envelope
-from .dynamics import CruiseContext
+from .dynamics import CruiseContext, eval_P, eval_Q
 from .errors import IntegrationError, ValidationError
 from .pmp import (
     adjoint_rate,
@@ -147,10 +149,9 @@ class _Rhs:
         self._consts = (ctx.qs_coeff, ctx.ind_coeff, ctx.T_max,
                         ctx.model.C_s1, ctx.model.C_s2)
 
-    def __call__(self, s, wg=None):
+    def __call__(self, s):
         x, y, v, m, chi = s
-        if wg is None:
-            wg = self._wind(x, y)
+        wg = self._wind(x, y)
         pi = self.throttle
         if self.alpha is not None:
             pi = evaluate_feedback(self.ctx, x, y, v, m, chi, self.alpha, wg)
@@ -169,11 +170,12 @@ class _Rhs:
                 sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy)
 
 
-def _step5(rhs, s, h, hh, h6):
+def _step5(rhs, s, k1, h, hh, h6):
     """One classical RK4 step of the state (x, y, v, m, chi as x, y, v, m,
-    c), written out; x2 is the x rate at the second stage."""
+    c) from its first-stage rate k1, written out; x2 is the x rate at the
+    second stage."""
     x, y, v, m, c = s
-    x1, y1, v1, m1, c1 = rhs(s)
+    x1, y1, v1, m1, c1 = k1
     x2, y2, v2, m2, c2 = rhs((x + hh * x1, y + hh * y1, v + hh * v1,
                               m + hh * m1, c + hh * c1))
     x3, y3, v3, m3, c3 = rhs((x + hh * x2, y + hh * y2, v + hh * v2,
@@ -189,9 +191,10 @@ def _step5(rhs, s, h, hh, h6):
 
 def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
     """Classical RK4 with n_steps fixed steps from t0 to t1 on the state, as
-    plain floats: the state and `rhs.throttle` after every step.  A failing
-    right-hand side or a non-finite or stalled state raises IntegrationError
-    with the last good state.
+    plain floats: the state after every step, and `rhs.throttle` at the
+    first stage of every step, which is the throttle at the state the step
+    starts from.  A failing right-hand side or a non-finite or stalled
+    state raises IntegrationError with the last good state.
     """
     s = tuple(map(float, s0))
     call = rhs.__call__     # bound once, not looked up on the type per stage
@@ -201,7 +204,9 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
     states, throttles = [], []
     for k in range(n_steps):
         try:
-            s_new = _step5(call, s, h, hh, h6)
+            k1 = call(s)
+            throttles.append(rhs.throttle)
+            s_new = _step5(call, s, k1, h, hh, h6)
         except Exception as exc:
             raise IntegrationError(t0 + k * h, str(exc), last_state=s) from exc
         if not (s_new[2] > 1.0 and all(map(isfinite, s_new))):
@@ -210,7 +215,6 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
                                    last_state=s)
         s = s_new
         states.append(s)
-        throttles.append(rhs.throttle)
     return states, throttles
 
 
@@ -219,40 +223,38 @@ def _costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
     bang arc, from `lam` at the first sample: forward when the sample times
     `t` rise, backward when they fall.  Each step takes its end states from
     the samples and its midpoint state from their cubic Hermite interpolant
-    (s_a + s_b)/2 + h/8 (f_a - f_b), fourth order like the rollout, with f
-    from `_Rhs` at the arc's constant `throttle`.  Each sample makes one
-    wind lookup, for its state rate and its adjoint coefficients, and each
-    midpoint one gradient lookup; the coefficients are computed once per
-    sample and once per midpoint, which the second and third stages share.
+    (s_a + s_b)/2 + h/8 (f_a - f_b), fourth order like the rollout, with
+    the state rates f at the arc's constant `throttle`.  The rates, the
+    midpoints and the adjoint coefficients at samples and midpoints do not
+    depend on the co-state: they are array expressions over the arc.  Only
+    the adjoint's RK4 recurrence steps sample by sample, on plain floats.
     Returns the co-states at the samples after the first, as tuples of
     plain floats.  A non-finite co-state raises IntegrationError with its
     time and the last finite one.
     """
-    rhs, wind = _Rhs(ctx, throttle), ctx.wind.wind_and_gradients
-    grads = ctx.wind.wind_gradients
-
-    def at_sample(s):
-        """The state rate and the adjoint coefficients at a sample."""
-        wg = wind(s[0], s[1])
-        return rhs(s, wg), costate_coefficients(ctx, s[2], s[3], s[4],
-                                                wg[2:], throttle)
-
-    t, states = t.tolist(), states.tolist()
+    x, y, v, m, chi = states.T
+    grads = ctx.wind.wind_gradients(x, y)
+    wxx, wxy, wyx, wyy = grads
+    fq, fp = eval_Q(ctx, x, y, v, m, chi), eval_P(ctx, v, m)
+    sn, c = np.sin(chi), np.cos(chi)
+    rates = np.column_stack((
+        fq[0], fq[1], fq[2] + throttle * fp[2], throttle * fp[3],
+        sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy))
+    dt = np.diff(t)
+    mid = (0.5 * (states[:-1] + states[1:])
+           + (dt / 8.0)[:, None] * (rates[:-1] - rates[1:])).T
+    # rows of plain floats; a constant wind's gradients are scalars
+    k_sample, k_mid = (
+        np.column_stack(np.broadcast_arrays(*k)).tolist() for k in (
+            costate_coefficients(ctx, v, m, chi, grads, throttle),
+            costate_coefficients(ctx, *mid[2:],
+                                 ctx.wind.wind_gradients(*mid[:2]), throttle)))
     lam = tuple(map(float, lam))
-    ta, sa = t[0], states[0]
-    fa, ka = at_sample(sa)
     out = []
-    for tb, sb in zip(t[1:], states[1:]):
+    for tb, h, ka, km, kb in zip(t[1:].tolist(), dt.tolist(), k_sample,
+                                 k_mid, k_sample[1:]):
         p, q, r, u = lam
-        fb, kb = at_sample(sb)
-        h = tb - ta
-        hh, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
-        km = costate_coefficients(
-            ctx, 0.5 * (sa[2] + sb[2]) + h8 * (fa[2] - fb[2]),
-            0.5 * (sa[3] + sb[3]) + h8 * (fa[3] - fb[3]),
-            0.5 * (sa[4] + sb[4]) + h8 * (fa[4] - fb[4]),
-            grads(0.5 * (sa[0] + sb[0]) + h8 * (fa[0] - fb[0]),
-                  0.5 * (sa[1] + sb[1]) + h8 * (fa[1] - fb[1])), throttle)
+        hh, h6 = 0.5 * h, h / 6.0
         p1, q1, r1, u1 = adjoint_rate(ka, lam)
         p2, q2, r2, u2 = adjoint_rate(km, (
             p + hh * p1, q + hh * q1, r + hh * r1, u + hh * u1))
@@ -268,7 +270,6 @@ def _costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
             raise IntegrationError(tb, "non-finite co-state", last_state=lam)
         lam = new
         out.append(lam)
-        ta, sa, fa, ka = tb, sb, fb, kb
     return out
 
 
@@ -335,21 +336,22 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
     else:
         times = [0.0]
         samples = [(x0[0], x0[1], x0[2], x0[3], schedule.chi0)]
-        throttles = [pi_max]
+        throttles = [pi_min]    # until the first nonempty arc sets it
         arc_ids = [0]
     for arc, (ta, tb, rhs) in enumerate(arcs[kept:], kept):
         arc_times = _arc_times(times[-1], ta, tb, steps_per_arc)
         if arc_times is None:
             continue
         states, pis = _rk4(rhs, samples[-1], ta, tb, steps_per_arc)
+        # each sample holds the throttle of the step it starts, an arc's
+        # last sample its last stage's (`diagnose` fixes the singular one)
+        if len(samples) == 1:
+            throttles[0] = pis[0]
         times.extend(arc_times)
         samples.extend(states)
-        throttles.extend(pis)
+        throttles.extend(pis[1:])
+        throttles.append(rhs.throttle)
         arc_ids.extend([arc] * steps_per_arc)
-
-    # throttle at the initial sample reflects the first nonempty arc
-    if arc_ids[1:2] != [0]:
-        throttles[0] = throttles[1] if len(throttles) > 1 else pi_min
 
     return Trajectory(
         t=np.array(times),
@@ -437,18 +439,18 @@ def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,
              pi_min: float, pi_max: float) -> None:
     """Fill the diagnostic columns of a realized trajectory.
 
-    Singular-arc samples first get the exact clamped feedback throttle at
-    the stored state (the rollout stores the value of the last RK4 stage),
-    one sample at a time on plain floats.  The rest is one pass of array
-    expressions over all samples: every sample gets the equilibrated
-    determinant, Mach and the envelope flag; samples with a finite
-    reconstructed co-state row get S, H and the Legendre-Clebsch value.
+    The rollout records the clamped feedback throttle at every singular
+    sample but the last, which starts no singular step; that one gets it
+    here.  The rest is one pass of array expressions over all samples:
+    every sample gets the equilibrated determinant, Mach and the envelope
+    flag; samples with a finite reconstructed co-state row get S, H and
+    the Legendre-Clebsch value.
     """
-    # the feedback is a plain-float kernel
-    for i in np.flatnonzero(traj.arc_id == 1).tolist():
-        x, y, v, m, chi = traj.states[i].tolist()
+    mid = np.flatnonzero(traj.arc_id == 1)
+    if len(mid):
+        x, y, v, m, chi = traj.states[mid[-1]].tolist()
         pi = evaluate_feedback(ctx, x, y, v, m, chi, alpha)
-        traj.throttle[i] = min(max(pi, pi_min), pi_max)
+        traj.throttle[mid[-1]] = min(max(pi, pi_min), pi_max)
     x, y, v, m, chi = traj.states.T
     traj.detM = scaled_det(ctx, x, y, v, m, chi)
     env = check_envelope(ctx.model, ctx.atm, v, ctx.h)

@@ -32,8 +32,9 @@ composes `_system` with the heading's cosine and sine from `math`; both
 take the wind and its gradients as one `wind_and_gradients` tuple.  The
 post-rollout checks run once per arc on NumPy arrays of states:
 `_polar`, `_system`, `_brackets`, `scaled_det`, `solve_costates_on_singular`
-(guarded at the first failing state), `hamiltonian`, `switching_function`,
-`lie_B_D` and `legendre_clebsch` use arithmetic and NumPy ufuncs only, so
+(guarded at the first failing state), `costate_coefficients`,
+`hamiltonian`, `switching_function`, `lie_B_D` and `legendre_clebsch` use
+arithmetic and NumPy ufuncs only, so
 each takes one state or arrays of states by the same expressions, with a
 co-state `lam` indexed by component ((4, n) for n states).
 """
@@ -79,28 +80,20 @@ def hamiltonian(ctx: CruiseContext, x: float, y: float, v: float, m: float,
     return sum(lam[i] * (q[i] + throttle * p[i]) for i in range(4))
 
 
-def costate_rhs(ctx: CruiseContext, v: float, m: float, chi: float, grads,
-                throttle: float, lam):
-    """d lambda / dt = -(dQ/dX + pi dP/dX)^T lambda; `grads` are the wind
-    gradients at the position.
-
-    Written out from the sparse Jacobians: the position rows carry the wind
-    gradients, the speed row the heading and the drag slope, and the mass
-    row the drag's mass terms and the thrust-to-mass ratio.
-    """
-    return adjoint_rate(costate_coefficients(ctx, v, m, chi, grads, throttle),
-                        lam)
-
-
-def costate_coefficients(ctx: CruiseContext, v: float, m: float, chi: float,
-                         grads, throttle: float):
-    """The entries of -(dQ/dX + pi dP/dX)^T at one state, which the adjoint
-    equation applies to the co-state (`adjoint_rate`): the four wind
-    gradients, the heading's cosine and sine, the speed row's drag slope and
-    fuel-flow term, and the mass row's drag and thrust terms."""
+def costate_coefficients(ctx: CruiseContext, v, m, chi, grads,
+                         throttle: float):
+    """The entries of -(dQ/dX + pi dP/dX)^T at states, written out from
+    the sparse Jacobians, which the adjoint equation d lambda / dt =
+    -(dQ/dX + pi dP/dX)^T lambda applies to the co-state (`adjoint_rate`):
+    the four wind gradients, the heading's cosine and sine, the speed row's
+    drag slope and fuel-flow term, and the mass row's drag and thrust terms.
+    The drag slope's cube is `np.float_power`, which rounds as libm's `pow`
+    does on a float; NumPy's `**` over arrays need not."""
     wxx, wxy, wyx, wyy = grads
-    d_v, d_m = ctx.drag_partials(m, v)
-    return (wxx, wxy, wyx, wyy, math.cos(chi), math.sin(chi), -d_v / m,
+    d_v = (2.0 * ctx.qs_coeff * v
+           - 2.0 * ctx.ind_coeff * m * m / np.float_power(v, 3))
+    d_m = 2.0 * ctx.ind_coeff * m / (v * v)
+    return (wxx, wxy, wyx, wyy, np.cos(chi), np.sin(chi), -d_v / m,
             throttle * (-ctx.cs_slope * ctx.T_max),
             (-d_m / m + ctx.drag(m, v) / (m * m))
             + throttle * (-ctx.T_max / (m * m)))

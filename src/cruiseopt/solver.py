@@ -15,7 +15,7 @@ it is pinned by the endpoint geometry and the final time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -252,12 +252,12 @@ class _LMShooting:
         retried from the same point with the fresh Jacobian and the same
         damping.  The solve gives up on the final-arc structure when an
         accepted step leaves the final arc at the ordering margin and cuts
-        the squared residual by less than 2 %.  Returns (z, residual) at
-        the last accepted point; the residual is None when the rollout at
-        the start point fails."""
+        the squared residual by less than 2 %.  Returns (z, residual,
+        `_Rollout`) at the last accepted point; the residual and the
+        rollout are None when the rollout at the start point fails."""
         r, rollout = self._shoot(z, square)
         if r is None:
-            return z, None
+            return z, None, None
         lam, nu, jac, secant = _LM_LAMBDA0, 2.0, None, False
         for _ in range(_LM_MAX_ITER):
             if _closed(r):
@@ -292,24 +292,25 @@ class _LMShooting:
             else:
                 lam *= nu
                 nu *= 2.0
-        return z, r
+        return z, r, rollout
 
-    def solve(self, z0) -> tuple[np.ndarray, bool]:
-        """Solve from z0; returns (z, whether the system closed).  In the
-        asymptotic regime the terminal conditions are closed first and the
-        co-state equation is then driven from there best-effort: the system
-        counts as closed when the terminal conditions are."""
+    def solve(self, z0):
+        """Solve from z0; returns (z, whether the system closed, the
+        `_Rollout` at z or None when it failed).  In the asymptotic regime
+        the terminal conditions are closed first and the co-state equation
+        is then driven from there best-effort: the system counts as closed
+        when the terminal conditions are."""
         z = self._nudge(z0)
         if self.fourth != "asymptotic":
-            z, r = self._levenberg_marquardt(z, True)
-            return z, r is not None and _closed(r)
-        z, r = self._levenberg_marquardt(z, False)
+            z, r, rollout = self._levenberg_marquardt(z, True)
+            return z, r is not None and _closed(r), rollout
+        z, r, rollout = self._levenberg_marquardt(z, False)
         if r is None:
-            return z, False
-        z_opt, r_opt = self._levenberg_marquardt(z, True)
+            return z, False, None
+        z_opt, r_opt, rollout_opt = self._levenberg_marquardt(z, True)
         if r_opt is not None and _closed(r_opt[:3]):
-            z, r = z_opt, r_opt
-        return z, _closed(r[:3])
+            z, r, rollout = z_opt, r_opt, rollout_opt
+        return z, _closed(r[:3]), rollout
 
 
 def _broyden(jac: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -362,25 +363,26 @@ def _solve_start(ctx: CruiseContext, scn: Scenario, z, final_throttle,
     closes: a collapsing idle final arc means the terminal speed target sits
     above the singular-arc speed and the last arc must accelerate.  A solve
     gives up early once its final arc stalls at the ordering margin (see
-    `_LMShooting._levenberg_marquardt`).  Returns (the last kept
-    `_LMShooting`, its z, whether every resolution closed, the rollouts
-    spent)."""
+    `_LMShooting._levenberg_marquardt`).  Returns (the last kept solve's
+    schedule, whether every resolution closed, the rollouts spent, its
+    `_Rollout` at the last resolution tried or None)."""
     n_fev = 0
     for steps in resolutions:
         shooting = _LMShooting(ctx, scn, steps, final_throttle)
-        z, closed = shooting.solve(z)
+        z, closed, rollout = shooting.solve(z)
         n_fev += shooting.n_fev
         if not closed:
             other = scn.pi_max if final_throttle is None else None
             retry = _LMShooting(ctx, scn, steps, other)
             z_short = z.copy()
             z_short[-2] = z_short[-1] - 2e-3  # a short last arc
-            z_retry, closed = retry.solve(z_short)
+            z_retry, closed, rollout_retry = retry.solve(z_short)
             n_fev += retry.n_fev
             if not closed:
                 break
             shooting, z, final_throttle = retry, z_retry, other
-    return shooting, z, closed, n_fev
+            rollout = rollout_retry
+    return shooting.decode(z), closed, n_fev, rollout
 
 
 def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
@@ -392,7 +394,8 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     `_SEARCH_STEPS` RK4 steps per arc (at most `options.steps`), then, if
     that closes, again at `options.steps` from the result; the first start
     that closes the system at `options.steps` wins and is recorded as
-    `start_index`.  A warm-start schedule (e.g. from a neighboring cost
+    `start_index`, with the shooting solve's last rollout as its
+    trajectory.  A warm-start schedule (e.g. from a neighboring cost
     weight in a sweep) is tried first, at `options.steps` only, and is
     recorded as start -1.  When no start closes, the feasible result of
     lowest cost is returned with `converged=False` (the least infeasible
@@ -417,19 +420,21 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     n_fev = 0
     tried = []
     for idx, z, final_throttle, resolutions in attempts:
-        shooting, z, closed, spent = _solve_start(ctx, scn, z, final_throttle,
-                                                  resolutions)
+        sched, closed, spent, ro = _solve_start(ctx, scn, z, final_throttle,
+                                                resolutions)
         n_fev += spent
         if closed:
-            return _solution(scn, shooting.decode(z), options, True, n_fev,
-                             idx)
-        tried.append((idx, shooting.decode(z)))
+            return _realized(ctx, scn, *ro, scn.alpha, n_fev, idx)
+        tried.append((idx, sched))
     # no start closed: the feasible result of lowest cost, else the least
     # infeasible one, among those that realize
     sols = []
     for idx, sched in tried:
         try:
-            sols.append(_solution(scn, sched, options, False, n_fev, idx))
+            sols.append(replace(realize_solution(scn, sched,
+                                                 steps=options.steps),
+                                converged=False, n_fev=n_fev,
+                                start_index=idx))
         except CruiseOptError as exc:
             error = exc
     if not sols:
@@ -443,28 +448,28 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     return min(sols, key=rank)
 
 
-def _solution(scn, sched, options, converged, n_fev, start_index):
-    sol = realize_solution(scn, sched, steps=options.steps)
-    sol.converged = converged
-    sol.n_fev = n_fev
-    sol.start_index = start_index
-    return sol
-
-
 def realize_solution(scn: Scenario, sched: ArcSchedule,
                      alpha: float | None = None, steps: int = 400) -> Solution:
     """Integrate a switching schedule into a full diagnosed Solution: the
     rollout, the co-states where a singular arc and a positive weight allow
     them, then the one diagnostics pass.
 
-    Used both as the tail of the solver and to rebuild a solution from its
-    serialized schedule for after-the-fact verification.
+    Rebuilds a solution from its serialized schedule for after-the-fact
+    verification; the solver realizes a closed solve's schedule from the
+    rollout its shooting solve ended on, through the same tail.
     """
     alpha = scn.alpha if alpha is None else alpha
     ctx = make_context(scn)
     x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
     traj = integrate_arcs(ctx, sched, x0, alpha, scn.pi_min, scn.pi_max,
                           steps_per_arc=steps)
+    return _realized(ctx, scn, sched, traj, alpha)
+
+
+def _realized(ctx: CruiseContext, scn: Scenario, sched: ArcSchedule,
+              traj: Trajectory, alpha: float, n_fev: int = 0,
+              start_index: int = -1) -> Solution:
+    """The Solution of a schedule's rollout `traj`, which it fills in."""
     # the rollout's skip rule decides whether a singular arc exists
     if alpha > 0.0 and np.any(traj.arc_id == 1):
         traj = reconstruct_costates(ctx, traj, sched, alpha, scn.pi_min,
@@ -484,8 +489,8 @@ def realize_solution(scn: Scenario, sched: ArcSchedule,
         cost=cost,
         residuals=resid_phys,
         converged=True,
-        n_fev=0,
-        start_index=-1,
+        n_fev=n_fev,
+        start_index=start_index,
         clamp_count=traj.clamp_count,
     )
 

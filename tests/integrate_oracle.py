@@ -4,11 +4,13 @@
 before its stepper was written out per component: every stage point and
 the update are built as tuples from `zip` generator expressions, and the
 right-hand side composes `dynamics.eval_F`, `dynamics.zermelo_rhs` and
-`pmp.costate_rhs`, with the wind and its gradients from the field's
-separate lookups and the singular throttle from
+the co-state equation on plain floats (`pmp.adjoint_rate` applied to
+`pmp_oracle.scalar_costate_coefficients`), with the wind and its gradients
+from the field's separate lookups and the singular throttle from
 `pmp_oracle.composed_feedback`.  `integrate_arcs` drives them over the
-three arcs exactly as the library does, and the library's rollouts must
-match it bit for bit, failures included.
+three arcs exactly as the library does, each sample holding the throttle
+of the step it starts, and the library's rollouts must match it bit for
+bit, failures included.
 
 `reconstruct_costates` covers the bang arcs as the library did before it
 swept the co-state alone along the stored samples: it integrates the joint
@@ -17,6 +19,12 @@ and forward from t2 over the last.  Its singular-arc rows must match the
 library's bit for bit; on the bang arcs the two integrate different
 systems, so there it is the reference for accuracy, not for bits.
 
+`costate_sweep` is the library's co-state sweep along the stored samples
+as it ran before its co-state-free part became array expressions: the
+state rate, the Hermite midpoint and the adjoint coefficients computed one
+sample and one midpoint at a time.  The array form must match it bit for
+bit, failures included.
+
 `shooting_residual` is the shooting solve's residual as it was computed
 through the library's full `reconstruct_costates`, backward sweep over the
 first arc included.
@@ -24,7 +32,8 @@ first arc included.
 `singular_costates`, `terminal_costate` and `diagnose` are the library's
 post-rollout algebra as it ran before it became array expressions over
 whole arcs: one call of the closed forms per sample (`terminal_costate`
-then runs the library's forward sweep over the final arc).  The array
+then runs `costate_sweep` forward over the final arc), and `diagnose`
+evaluates the feedback at every singular sample.  The array
 forms must match them bit for bit.
 """
 
@@ -35,15 +44,16 @@ import numpy as np
 from cruiseopt.atmosphere import check_envelope
 from cruiseopt.dynamics import CruiseContext, eval_F, zermelo_rhs
 from cruiseopt.errors import CruiseOptError, IntegrationError, ValidationError
-from cruiseopt.integrate import ArcSchedule, Trajectory, _final_arc_costates
+from cruiseopt.integrate import ArcSchedule, Trajectory
+from cruiseopt.integrate import _Rhs as lib_Rhs
 from cruiseopt.integrate import reconstruct_costates as lib_reconstruct
 from cruiseopt.integrate import integrate_arcs as lib_integrate
-from cruiseopt.pmp import (STATE_SCALES, costate_rhs, evaluate_feedback,
+from cruiseopt.pmp import (STATE_SCALES, adjoint_rate, evaluate_feedback,
                            hamiltonian, legendre_clebsch, scaled_det,
                            singular_throttle_alpha0,
                            solve_costates_on_singular, switching_function)
 
-from pmp_oracle import composed_feedback
+from pmp_oracle import composed_feedback, scalar_costate_coefficients
 
 
 class _Rhs:
@@ -81,12 +91,14 @@ class _Rhs:
             zermelo_rhs(chi, grads),)
         if len(s) == 5:
             return f
-        return f + costate_rhs(ctx, v, m, chi, grads, pi, s[5:])
+        return f + adjoint_rate(scalar_costate_coefficients(
+            ctx, v, m, chi, grads, pi), s[5:])
 
 
 def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
     """Classical RK4 with n_steps fixed steps from t0 to t1 on a tuple of
-    plain floats of any length."""
+    plain floats of any length: the state after every step and the
+    throttle at every step's first stage."""
     s = tuple(map(float, s0))
     h = float(t1 - t0) / n_steps
     hh, h6 = 0.5 * h, h / 6.0
@@ -95,6 +107,7 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
         t = t0 + k * h
         try:
             k1 = rhs(s)
+            pi = rhs.throttle
             k2 = rhs(tuple(a + hh * b for a, b in zip(s, k1)))
             k3 = rhs(tuple(a + hh * b for a, b in zip(s, k2)))
             k4 = rhs(tuple(a + h * b for a, b in zip(s, k3)))
@@ -107,7 +120,7 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
             raise IntegrationError(t + h, "non-finite or stalled state",
                                    last_state=prev)
         states.append(s)
-        throttles.append(rhs.throttle)
+        throttles.append(pi)
     return states, throttles
 
 
@@ -122,7 +135,7 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0,
             (schedule.t2, schedule.tf, _Rhs(ctx, pi_end)))
     times = [0.0]
     samples = [(x0[0], x0[1], x0[2], x0[3], schedule.chi0)]
-    throttles = [pi_max]
+    throttles = [pi_min]
     arc_ids = [0]
     for arc, (ta, tb, rhs) in enumerate(arcs):
         k = np.arange(1, steps_per_arc + 1)
@@ -131,12 +144,14 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0,
         if tb - ta <= 1e-12 or np.any(np.diff([times[-1], *arc_times]) <= 0):
             continue
         states, pis = _rk4(rhs, samples[-1], ta, tb, steps_per_arc)
+        # the first stage at the initial sample, at every sample after it
+        # but the arc's last, and the last stage at that one
+        if len(samples) == 1:
+            throttles[0] = pis[0]
         times.extend(arc_times)
         samples.extend(states)
-        throttles.extend(pis)
+        throttles.extend(pis[1:] + [rhs.throttle])
         arc_ids.extend([arc] * steps_per_arc)
-    if arc_ids[1:2] != [0]:
-        throttles[0] = throttles[1] if len(throttles) > 1 else pi_min
     return Trajectory(
         t=np.array(times),
         states=np.array(samples),
@@ -181,6 +196,43 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
             lam[j + k] = st[5:]
     traj.costates = lam
     return traj
+
+
+def costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
+    """The co-state sweep of one bang arc along its stored samples, one
+    sample and one midpoint at a time on plain floats."""
+    rhs, grads = lib_Rhs(ctx, throttle), ctx.wind.wind_gradients
+
+    def at_sample(s):
+        """The state rate and the adjoint coefficients at a sample."""
+        return rhs(s), scalar_costate_coefficients(
+            ctx, s[2], s[3], s[4], grads(s[0], s[1]), throttle)
+
+    t, states = t.tolist(), states.tolist()
+    lam = tuple(map(float, lam))
+    ta, sa = t[0], states[0]
+    fa, ka = at_sample(sa)
+    out = []
+    for tb, sb in zip(t[1:], states[1:]):
+        fb, kb = at_sample(sb)
+        h = tb - ta
+        hh, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
+        sm = [0.5 * (a + b) + h8 * (c - d)
+              for a, b, c, d in zip(sa, sb, fa, fb)]
+        km = scalar_costate_coefficients(ctx, *sm[2:], grads(*sm[:2]),
+                                         throttle)
+        k1 = adjoint_rate(ka, lam)
+        k2 = adjoint_rate(km, tuple(a + hh * b for a, b in zip(lam, k1)))
+        k3 = adjoint_rate(km, tuple(a + hh * b for a, b in zip(lam, k2)))
+        k4 = adjoint_rate(kb, tuple(a + h * b for a, b in zip(lam, k3)))
+        new = tuple(a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                    for a, b1, b2, b3, b4 in zip(lam, k1, k2, k3, k4))
+        if not all(map(math.isfinite, new)):
+            raise IntegrationError(tb, "non-finite co-state", last_state=lam)
+        lam = new
+        out.append(lam)
+        ta, sa, fa, ka = tb, sb, fb, kb
+    return out
 
 
 def shooting_residual(shooting, z, with_costate: bool):
@@ -229,10 +281,13 @@ def singular_costates(ctx: CruiseContext, traj: Trajectory,
 def terminal_costate(ctx: CruiseContext, traj: Trajectory,
                      schedule: ArcSchedule, alpha: float):
     """The co-state at tf from the per-sample singular-arc solves and the
-    library's forward sweep over the final arc."""
+    per-sample forward sweep over the final arc."""
     first, lams = singular_costates(ctx, traj, schedule, alpha)
-    tail = _final_arc_costates(ctx, traj, first + len(lams) - 1, lams[-1])
-    return (tail or lams)[-1]
+    if not np.any(traj.arc_id == 2):
+        return lams[-1]
+    j = first + len(lams) - 1
+    return costate_sweep(ctx, float(traj.throttle[-1]), traj.t[j:],
+                         traj.states[j:], lams[-1])[-1]
 
 
 def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,

@@ -11,6 +11,11 @@ unit-weight singular-arc co-state, kept here because only the tests call
 them; the library reaches the same algebra through `pmp._polar` and
 `pmp._system`.
 
+`closed_costate_rhs` is the library's closed-form co-state equation,
+which only the tests evaluate at single states; `scalar_costate_coefficients`
+is its coefficient vector as computed on plain floats before it took
+arrays.
+
 `composed_feedback` is the generic singular feedback as the library
 composed it from `pmp._system`, `pmp._det`, `pmp._unit_costate` and
 `pmp._brackets`
@@ -26,7 +31,8 @@ import numpy as np
 from cruiseopt.dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from cruiseopt.errors import SingularDenominatorError
 from cruiseopt.pmp import (EPS_DEN, EPS_DET, STATE_SCALES, Costate, _brackets,
-                          _det, _polar, _system, _unit_costate)
+                          _det, _polar, _system, _unit_costate, adjoint_rate,
+                          costate_coefficients)
 
 from model_oracle import jacobian_P, jacobian_Q
 
@@ -83,6 +89,28 @@ def composed_feedback(ctx: CruiseContext, v: float, m: float, chi: float,
     return FeedbackEval(-num / den,
                         (alpha * lx, alpha * ly, alpha * lv, alpha * lm),
                         _det(ctx, m, sysm), -alpha * den)
+
+
+def scalar_costate_coefficients(ctx, v, m, chi, grads, throttle):
+    """`pmp.costate_coefficients` at one state of plain floats, as the
+    library computed it before it took arrays: the drag slope from
+    `CruiseContext.drag_partials`, whose cube is then libm's `pow`, and the
+    heading's cosine and sine from `math`.  The array form must match it
+    bit for bit."""
+    wxx, wxy, wyx, wyy = grads
+    d_v, d_m = ctx.drag_partials(m, v)
+    return (wxx, wxy, wyx, wyy, math.cos(chi), math.sin(chi), -d_v / m,
+            throttle * (-ctx.cs_slope * ctx.T_max),
+            (-d_m / m + ctx.drag(m, v) / (m * m))
+            + throttle * (-ctx.T_max / (m * m)))
+
+
+def closed_costate_rhs(ctx, v, m, chi, grads, throttle, lam):
+    """d lambda / dt = -(dQ/dX + pi dP/dX)^T lambda from the library's
+    closed form, `pmp.costate_coefficients` applied by `pmp.adjoint_rate`;
+    `grads` are the wind gradients at the position."""
+    return adjoint_rate(costate_coefficients(ctx, v, m, chi, grads,
+                                             throttle), lam)
 
 
 def costate_rhs(ctx, x, y, v, m, chi, throttle, lam):

@@ -14,7 +14,7 @@ import numpy as np
 from cruiseopt.cli import emit_trajectory_csv
 from cruiseopt.dynamics import eval_P, eval_Q
 from cruiseopt.integrate import _Rhs
-from cruiseopt.pmp import (STATE_SCALES, costate_rhs, hamiltonian,
+from cruiseopt.pmp import (STATE_SCALES, hamiltonian,
                            solve_costates_on_singular)
 from cruiseopt.scenario import make_context
 from cruiseopt.solver import chi0_constant_wind, solve_indirect
@@ -22,7 +22,7 @@ from cruiseopt.solver import chi0_constant_wind, solve_indirect
 import pmp_oracle
 from conftest import fast_options
 from model_oracle import jacobian_P, jacobian_Q
-from pmp_oracle import lie_A
+from pmp_oracle import closed_costate_rhs, lie_A
 
 
 def report(capsys, num, ok, detail):
@@ -156,9 +156,9 @@ def test_criterion_07_derivative_oracles(capsys, scenario, context):
         lam = (rng.uniform(-1, 1) * 1e-6, rng.uniform(-1, 1) * 1e-6,
                rng.uniform(-1, 1) * 1e-2, rng.uniform(-1, 1))
         pi = rng.uniform(0.0, 1.0)
-        rhs = np.array(costate_rhs(context, v, m, chi,
-                                   context.wind.wind_gradients(x, y), pi,
-                                   lam))
+        rhs = np.array(closed_costate_rhs(context, v, m, chi,
+                                          context.wind.wind_gradients(x, y),
+                                          pi, lam))
         fd = -_fd_jac(
             lambda *s: (hamiltonian(context, *s, chi, pi, lam),),
             (x, y, v, m), STATE_SCALES)[0]

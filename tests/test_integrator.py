@@ -19,7 +19,8 @@ from cruiseopt.errors import (CruiseOptError, IllConditionedSystemError,
 from cruiseopt.integrate import (ArcSchedule, Trajectory, _Rhs, diagnose,
                                  integrate_arcs, reconstruct_costates,
                                  terminal_costate)
-from cruiseopt.pmp import TIME_SCALE, solve_costates_on_singular
+from cruiseopt.pmp import (TIME_SCALE, evaluate_feedback,
+                           solve_costates_on_singular)
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 make_context)
@@ -206,15 +207,14 @@ def test_each_rhs_stage_looks_the_wind_up_once():
                           steps_per_arc=20)
     assert wind.calls == {"wind_and_gradients": 240}
     # co-state sweeps over both bang arcs, each with one lookup of the wind
-    # and its gradients at each of its 21 samples, for the state rate and
-    # the adjoint, and of the gradients at each of its 20 step midpoints
-    # (2 lookups per step, against 4 for a joint state/co-state RK4 step),
-    # plus one algebraic co-state solve over the singular samples and the
-    # t1 junction, with one wind lookup for all of them
+    # (for the state rates) and one of its gradients (for the heading rate
+    # and the adjoint) over all of its 21 samples, and one of the gradients
+    # over all of its 20 step midpoints, plus one algebraic co-state solve
+    # over the singular samples and the t1 junction, with one wind lookup
+    # for all of them
     wind.calls = {}
     reconstruct_costates(ctx, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
-    assert wind.calls == {"wind_and_gradients": 2 * 21,
-                          "wind_gradients": 2 * 20, "wind_at": 1}
+    assert wind.calls == {"wind_gradients": 2 * 2, "wind_at": 2 * 1 + 1}
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.0])
@@ -451,31 +451,36 @@ def test_endgame_residual_skips_the_first_arc_sweep():
     shooting._shoot(_decision(sched), True)
     # the rollout (240 stages), one co-state solve over the singular
     # samples and the t1 junction (1), the forward sweep over the last arc
-    # (21 samples, 20 midpoints); reconstruct_costates also sweeps the
-    # first arc
-    assert wind.calls == {"wind_and_gradients": 240 + 21,
-                          "wind_gradients": 20, "wind_at": 1}
+    # (the wind and its gradients over its samples, the gradients over its
+    # midpoints); reconstruct_costates also sweeps the first arc
+    assert wind.calls == {"wind_and_gradients": 240, "wind_gradients": 2,
+                          "wind_at": 1 + 1}
     assert shooting.n_fev == 1
 
 
 def test_costate_sweeps_step_plain_floats(monkeypatch):
     """NumPy scalars (from the stored samples, or from the co-state rows
     that seed the sweeps) give the same bits at several times the cost per
-    operation: the co-state sweeps of `reconstruct_costates` and
-    `terminal_costate` step and return tuples of plain floats."""
+    operation.  The co-state sweeps of `reconstruct_costates` and
+    `terminal_costate` take the adjoint coefficients from two array passes
+    per arc, one over the samples and one over the step midpoints, evaluate
+    no state right-hand side, and step the adjoint on plain floats and
+    return tuples of plain floats."""
     types = set()
+    rhs_calls = []
     call = _Rhs.__call__
     coefficients = integrate.costate_coefficients
     adjoint = integrate.adjoint_rate
     sweep = integrate._costate_sweep
-    sweeps = []
+    passes, sweeps = [], []
 
-    def spy(self, s, wg=None):
-        types.update(map(type, (*s, *(wg or ()))))
-        return call(self, s, wg)
+    def rhs_spy(self, s):
+        rhs_calls.append(s)
+        return call(self, s)
 
     def coefficients_spy(ctx, v, m, chi, grads, throttle):
-        types.update(map(type, (v, m, chi, *grads, throttle)))
+        assert all(type(a) is np.ndarray for a in (v, m, chi, *grads))
+        passes.append(len(v))
         return coefficients(ctx, v, m, chi, grads, throttle)
 
     def adjoint_spy(coeffs, lam):
@@ -487,17 +492,20 @@ def test_costate_sweeps_step_plain_floats(monkeypatch):
         sweeps.append(chain)
         return chain
 
-    monkeypatch.setattr(_Rhs, "__call__", spy)
-    monkeypatch.setattr(integrate, "costate_coefficients", coefficients_spy)
-    monkeypatch.setattr(integrate, "adjoint_rate", adjoint_spy)
-    monkeypatch.setattr(integrate, "_costate_sweep", sweep_spy)
     sched = COMMITTED["0.4"][2]
     traj = integrate_arcs(CTX, sched, X0, 0.4, SCN.pi_min, SCN.pi_max,
                           steps_per_arc=20)
+    monkeypatch.setattr(_Rhs, "__call__", rhs_spy)
+    monkeypatch.setattr(integrate, "costate_coefficients", coefficients_spy)
+    monkeypatch.setattr(integrate, "adjoint_rate", adjoint_spy)
+    monkeypatch.setattr(integrate, "_costate_sweep", sweep_spy)
     reconstruct_costates(CTX, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
     lam_f = terminal_costate(CTX, traj, sched, 1.0)
     assert types == {float}
-    # backward and forward sweep, then the forward sweep alone
+    assert rhs_calls == []
+    # backward and forward sweep, then the forward sweep alone, each with
+    # one pass over its 21 samples and one over its 20 midpoints
+    assert passes == [21, 20] * 3
     assert [len(chain) for chain in sweeps] == [20, 20, 20]
     assert all(type(lam) is tuple and all(type(v) is float for v in lam)
                for chain in sweeps for lam in chain)
@@ -700,6 +708,100 @@ def test_array_pass_matches_the_per_sample_oracle(request, case, steps):
     cas = calibrated_airspeed(ctx.atm, traj.states[:, 2], scn.h)
     for bound in (scn.aircraft.v_CAS_min, scn.aircraft.v_CAS_max):
         assert np.all(np.abs(cas - bound) > 2.0 * np.spacing(bound))
+
+
+def _sweep_or_failure(fn):
+    """The bits of the co-states a sweep returns, or the time, last
+    co-state and message of its IntegrationError."""
+    try:
+        return _bits(fn())
+    except IntegrationError as exc:
+        return ("sweep", exc.t, _bits(exc.last_state), str(exc))
+
+
+@pytest.mark.parametrize("steps", [40, 400])
+@pytest.mark.parametrize("case", ["0.1", "0.4", "0.5", "cw", "0", "t1=t2",
+                                  "no final arc"])
+def test_array_costate_sweep_matches_the_per_sample_oracle(request, case,
+                                                           steps):
+    """The co-state sweep, whose state rates, Hermite midpoints and adjoint
+    coefficients are array expressions over the arc, equals the per-sample
+    sweep bit for bit, backward over the first arc and forward over the
+    rest of the flight: the co-states, or the time and last finite
+    co-state of the failure, when the seed overflows in the first step and
+    when a NaN state row stops the sweep part way.  Under constant wind
+    the wind lookups return scalars, which the arrays broadcast."""
+    scn, alpha, sched = _post_rollout_case(request, case)
+    ctx = make_context(scn)
+    traj = integrate_arcs(ctx, sched, (scn.x0, scn.y0, scn.v0, scn.m0),
+                          alpha, scn.pi_min, scn.pi_max, steps_per_arc=steps)
+    j = np.count_nonzero(traj.arc_id == 0) - 1    # the t1 junction
+    assert j == steps
+    corrupt = traj.states.copy()
+    corrupt[j // 2] = corrupt[j + steps // 2] = np.nan
+    sweeps = []
+    for states in (traj.states, corrupt):
+        sweeps += [(scn.pi_max, traj.t[j::-1], states[j::-1]),
+                   (float(traj.throttle[-1]), traj.t[j:], states[j:])]
+    for seed in ((-2.5e-5, -1.2e-5, -8.0, -0.6), (1.7e308,) * 4):
+        for throttle, t, states in sweeps:
+            got = _sweep_or_failure(lambda: integrate._costate_sweep(
+                ctx, throttle, t, states, seed))
+            ref = _sweep_or_failure(lambda: integrate_oracle.costate_sweep(
+                ctx, throttle, t, states, seed))
+            assert got == ref
+            if states is corrupt or seed[0] > 1.0:
+                assert got[0] == "sweep"
+
+
+@pytest.mark.parametrize("case", ["0.4", "0.1", "0", "cw", "t1=0",
+                                  "t1=0, alpha=0", "clamped"])
+def test_rollout_records_the_clamped_feedback_at_singular_samples(
+        monkeypatch, case):
+    """Every sample that starts a singular RK4 step holds the clamped
+    feedback at its stored state, bit for bit, as that step's first stage
+    computed it: the singular samples but the last, and the initial sample
+    when the first arc is empty (t1 = 0); after it the first arc's last
+    sample holds max throttle.  `diagnose` evaluates the feedback once,
+    at the arc's last sample, which then holds it too."""
+    key = {"t1=0": "0.4", "t1=0, alpha=0": "0", "clamped": "0.4"}.get(case,
+                                                                     case)
+    wind, alpha, sched = COMMITTED[key]
+    if case.startswith("t1=0"):
+        sched = replace(sched, t1=0.0)
+    elif case == "clamped":
+        alpha, sched = 0.85, REUSE_CASES["0.85, clamped singular arc"][2]
+    scn = SCENARIOS[wind]
+    ctx = make_context(scn)
+    traj = integrate_arcs(ctx, sched, (scn.x0, scn.y0, scn.v0, scn.m0),
+                          alpha, scn.pi_min, scn.pi_max, steps_per_arc=40)
+    mid = np.flatnonzero(traj.arc_id == 1)
+
+    def clamped_feedback(rows):
+        pis = [evaluate_feedback(ctx, *traj.states[i].tolist(), alpha)
+               for i in rows]
+        return [min(max(pi, scn.pi_min), scn.pi_max) for pi in pis]
+
+    starts = [*([0] if sched.t1 == 0.0 else []), *mid[:-1]]
+    assert _bits(traj.throttle[starts]) == _bits(clamped_feedback(starts))
+    if sched.t1 > 0.0:
+        assert traj.throttle[mid[0] - 1] == scn.pi_max
+    if case == "clamped":
+        assert traj.clamp_count == 133
+        assert np.isin(traj.throttle[mid[:-1]], [scn.pi_min,
+                                                 scn.pi_max]).any()
+    calls = []
+    feedback = integrate.evaluate_feedback
+
+    def spy(*args):
+        calls.append(args)
+        return feedback(*args)
+
+    monkeypatch.setattr(integrate, "evaluate_feedback", spy)
+    diagnose(ctx, traj, alpha, scn.pi_min, scn.pi_max)
+    assert len(calls) == 1
+    rows = [*starts, mid[-1]]
+    assert _bits(traj.throttle[rows]) == _bits(clamped_feedback(rows))
 
 
 def test_array_costate_solve_fails_at_the_first_ill_conditioned_sample():

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from cruiseopt.dynamics import eval_P, eval_Q
 from cruiseopt.errors import (CruiseOptError, IllConditionedSystemError,
                               SingularDenominatorError)
-from cruiseopt.pmp import (STATE_SCALES, costate_rhs,
-                           evaluate_feedback, hamiltonian, legendre_clebsch,
-                           lie_B_D, scaled_det, singular_throttle,
-                           singular_throttle_alpha0,
+from cruiseopt.pmp import (STATE_SCALES, costate_coefficients,
+                           evaluate_feedback, hamiltonian,
+                           legendre_clebsch, lie_B_D, scaled_det,
+                           singular_throttle, singular_throttle_alpha0,
                            solve_costates_on_singular, switching_function)
 from cruiseopt.scenario import default_scenario_path, load_scenario, make_context
 
 import pmp_oracle
-from pmp_oracle import lie_A, solve_costates_unit
+from pmp_oracle import closed_costate_rhs, lie_A, solve_costates_unit
 
 SCN = load_scenario(default_scenario_path())
 CTX = make_context(SCN)
@@ -84,8 +84,9 @@ def test_costate_rhs_is_minus_hamiltonian_gradient():
         lam = (rng.uniform(-1, 1) * 1e-6, rng.uniform(-1, 1) * 1e-6,
                rng.uniform(-1, 1) * 1e-2, rng.uniform(-1, 1))
         pi = rng.uniform(0.0, 1.0)
-        ana = np.array(costate_rhs(CTX, v, m, chi,
-                                   CTX.wind.wind_gradients(x, y), pi, lam))
+        ana = np.array(closed_costate_rhs(CTX, v, m, chi,
+                                          CTX.wind.wind_gradients(x, y), pi,
+                                          lam))
         xs = (x, y, v, m)
         fd = np.empty(4)
         for i in range(4):
@@ -311,6 +312,24 @@ def test_feedback_inputs_reach_both_guards():
                           (112054006171.38959,) + _WG[1:])
 
 
+def test_costate_coefficients_over_arrays_match_one_state_at_a_time():
+    """Over arrays of states the adjoint coefficients equal, bit for bit,
+    those computed for one state of plain floats at a time, which cube the
+    speed in the drag slope through libm's pow; NumPy's `**` over arrays
+    rounds that cube differently at a few percent of speeds."""
+    rng = np.random.default_rng(23)
+    pts = np.array([random_point(rng) for _ in range(2000)])
+    x, y, v, m, chi = pts.T
+    grads = CTX.wind.wind_gradients(x, y)
+    for pi in (SCN.pi_min, SCN.pi_max):
+        got = np.broadcast_arrays(*costate_coefficients(CTX, v, m, chi,
+                                                         grads, pi))
+        ref = [pmp_oracle.scalar_costate_coefficients(
+            CTX, *s[2:], CTX.wind.wind_gradients(*s[:2]), pi)
+            for s in pts.tolist()]
+        assert np.column_stack(got).tobytes() == np.array(ref).tobytes()
+
+
 @given(STATES,
        st.tuples(st.floats(-1e-5, 1e-5), st.floats(-1e-5, 1e-5),
                  st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
@@ -320,7 +339,8 @@ def test_costate_rhs_matches_dense_jacobian_oracle(state, lam, pi):
     """The written-out co-state equation against -(dQ/dX + pi dP/dX)^T lam
     with both Jacobians built densely."""
     x, y, v, m, chi = state
-    ana = costate_rhs(CTX, v, m, chi, CTX.wind.wind_gradients(x, y), pi, lam)
+    ana = closed_costate_rhs(CTX, v, m, chi, CTX.wind.wind_gradients(x, y),
+                             pi, lam)
     ref = pmp_oracle.costate_rhs(CTX, x, y, v, m, chi, pi, lam)
     assert ana == pytest.approx(ref, rel=1e-12, abs=0.0)
 

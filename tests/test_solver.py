@@ -209,11 +209,13 @@ def test_cold_solve_reports_endgame_optimality(monkeypatch, tmp_path,
     opts = fast_options(steps=60)
     converged = {}
     for costate_resid in (0.0, 1e-3):
-        # the stubbed shooting solve decides the outcome
+        # the stubbed shooting solve decides the outcome; it ends on the
+        # rollout at z_opt, which a closed solve's Solution is built on
         monkeypatch.setattr(
             _LMShooting, "_levenberg_marquardt",
             lambda self, z, square, _c=costate_resid: (
-                z_opt, np.array([0.0, 0.0, 0.0, _c])))
+                z_opt, np.array([0.0, 0.0, 0.0, _c]),
+                self._shoot(z_opt, square)[1]))
         sol = solve_indirect(scenario_cw, opts)
         assert type(sol.converged) is bool
         assert sol.cost == pytest.approx(sol_cw.cost, rel=1e-9)
@@ -257,6 +259,37 @@ def test_collapsed_arc_realizes_as_its_limit(scenario, t1, t2, limit):
                                    want.trajectory.costates, rtol=1e-9)
 
 
+@pytest.mark.parametrize("fixture", ["sol_04", "sol_01", "sol_cw",
+                                     "sol_alpha_eps"])
+def test_solution_is_built_on_the_last_shooting_rollout(request, fixture):
+    """A closed solve's Solution is built on the rollout its shooting solve
+    ended on, not on a second integration of the schedule: its trajectory,
+    co-states, diagnostics, clamp count, cost and residuals equal those of
+    the realized schedule bit for bit.  sol_01 closes through the retry
+    with a max-throttle final arc, and sol_alpha_eps (alpha = 1e-6) in the
+    asymptotic regime, whose solve drives the co-state equation after
+    feasibility."""
+    sol = request.getfixturevalue(fixture)
+    assert sol.converged
+    if fixture == "sol_01":
+        assert sol.schedule.final_throttle == sol.scenario.pi_max
+    if fixture == "sol_alpha_eps":
+        assert sol.alpha < solver._ALPHA_ASYMPTOTIC
+    ref = realize_solution(sol.scenario, sol.schedule,
+                           steps=fast_options().steps)
+
+    def bits(a):
+        return np.where(np.isnan(a), np.nan, a).tobytes()
+
+    for col in ("t", "states", "throttle", "arc_id", "costates", "S", "H",
+                "lc", "detM", "mach", "envelope_ok"):
+        got, want = (getattr(s.trajectory, col) for s in (sol, ref))
+        assert bits(got) == bits(want), col
+    assert sol.clamp_count == ref.clamp_count == sol.trajectory.clamp_count
+    assert sol.cost == ref.cost
+    assert sol.residuals.tobytes() == ref.residuals.tobytes()
+
+
 def test_realize_solution_reproduces_cost(sol_04):
     rebuilt = realize_solution(sol_04.scenario, sol_04.schedule,
                                alpha=sol_04.alpha, steps=200)
@@ -278,8 +311,9 @@ def test_warm_start_short_circuits_multistart(monkeypatch, scenario,
     assert sol.converged
     assert sol.start_index == -1  # never entered the multistart search
     assert sol.cost == pytest.approx(sol_04.cost, rel=1e-9)
-    # every shooting rollout is counted; the last one realizes the solution
-    assert 0 < sol.n_fev == len(rollouts) - 1
+    # every shooting rollout is counted, and the solution is built on the
+    # last one instead of integrating the schedule again
+    assert 0 < sol.n_fev == len(rollouts)
     assert sol.n_fev <= 1   # the warm start closes the system at once
 
 
@@ -370,8 +404,9 @@ def test_accepted_steps_update_the_jacobian_by_the_secant(monkeypatch,
     s.  The solve closes with one central-difference Jacobian."""
     shooting, z0 = _near_optimum(context, scenario)
     log = _lm_log(monkeypatch)
-    z, r = shooting._levenberg_marquardt(z0, True)
+    z, r, rollout = shooting._levenberg_marquardt(z0, True)
     assert solver._closed(r)
+    assert rollout.schedule == shooting.decode(z)
     kinds = [e[0] for e in log]
     assert kinds.count("jacobian") == 1 and kinds.count("broyden") >= 2
     current = trial = log[0]
