@@ -14,7 +14,6 @@ from .atmosphere import AircraftModel, Atmosphere, load_aircraft
 from .direct import DirectOptions, DirectSolution, solve_direct
 from .dynamics import CruiseContext
 from .integrate import ArcSchedule, Trajectory, integrate_arcs, reconstruct_costates
-from .pmp import Costate
 from .scenario import Scenario, load_scenario, make_context, save_scenario
 from .solver import (Solution, SolverOptions, solve_indirect, sweep_alpha,
                      verify_solution)
@@ -25,7 +24,6 @@ __all__ = [
     "DirectOptions", "DirectSolution", "solve_direct",
     "CruiseContext",
     "ArcSchedule", "Trajectory", "integrate_arcs", "reconstruct_costates",
-    "Costate",
     "Scenario", "load_scenario", "make_context", "save_scenario",
     "Solution", "SolverOptions", "solve_indirect", "sweep_alpha",
     "verify_solution",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .direct import DirectOptions, DirectSolution, chattering_metric, solve_direct
-from .errors import CruiseOptError
+from .errors import CruiseOptError, ValidationError
 from .integrate import ArcSchedule
 from .scenario import (Scenario, default_scenario_path, load_scenario,
                        save_scenario)
@@ -47,10 +47,7 @@ def emit_trajectory_csv(sol: Solution, path) -> None:
             st = traj.states[i]
             row = [traj.t[i], st[0], st[1], st[2], st[3], st[4],
                    traj.throttle[i], traj.S[i], traj.H[i]]
-            if lam is not None:
-                row.extend(lam[i])
-            else:
-                row.extend([np.nan] * 4)
+            row.extend([np.nan] * 4 if lam is None else lam[i])
             row.extend([traj.lc[i], traj.detM[i], traj.mach[i]])
             flag = traj.envelope_ok[i]
             w.writerow([_fmt(v) for v in row] + ["1" if flag else "0"])
@@ -61,11 +58,11 @@ def emit_direct_csv(dsol: DirectSolution, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x", "y", "v", "m", "chi", "pi"])
-        for k in range(dsol.grid.N):
+        for k in range(len(dsol.chi)):
             st = dsol.states[k]
             w.writerow([_fmt(v) for v in
                         (dsol.t[k], st[0], st[1], st[2], st[3],
-                         dsol.grid.chi[k], dsol.grid.pi[k])])
+                         dsol.chi[k], dsol.pi[k])])
         st = dsol.states[-1]
         w.writerow([_fmt(v) for v in
                     (dsol.t[-1], st[0], st[1], st[2], st[3],
@@ -83,22 +80,19 @@ def write_solution_dir(sol: Solution, outdir, steps: int) -> None:
     with open(outdir / "aircraft.json", "w") as fh:
         json.dump(asdict(sol.scenario.aircraft), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    scn_local = replace(sol.scenario, alpha=sol.alpha,
-                        aircraft_file="aircraft.json")
-    save_scenario(scn_local, outdir / "scenario.json")
+    save_scenario(replace(sol.scenario, aircraft_file="aircraft.json"),
+                  outdir / "scenario.json")
     doc = {
-        "alpha": sol.alpha,
+        "alpha": sol.scenario.alpha,
         "steps": steps,
         "cost": sol.cost,
         "converged": sol.converged,
-        "schedule": {"t1": sol.schedule.t1, "t2": sol.schedule.t2,
-                     "tf": sol.schedule.tf, "chi0": sol.schedule.chi0,
-                     "final_throttle": sol.schedule.final_throttle},
+        "schedule": asdict(sol.schedule),
         "residuals_si": list(map(float, sol.residuals)),
         "final_mass_kg": sol.trajectory.final_mass,
         "n_fev": sol.n_fev,
         "start_index": sol.start_index,
-        "clamp_count": sol.clamp_count,
+        "clamp_count": sol.trajectory.clamp_count,
         "verification": None if sol.verification is None else [
             {"name": c.name, "passed": c.passed, "extreme": c.extreme,
              "tolerance": c.threshold}
@@ -118,22 +112,25 @@ def _exit_code(sol: Solution) -> int:
     return 0
 
 
+def _read(path, load):
+    """`load(path)`, with a missing, unreadable or malformed file raised as
+    a ValidationError that names it."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_and_override(args) -> Scenario:
-    scn = load_scenario(args.scenario)
+    scn = _read(args.scenario, load_scenario)
     if getattr(args, "alpha", None) is not None:
         scn = scn.replace_alpha(args.alpha)
     return scn
 
 
-def _indirect_options(args) -> SolverOptions:
-    if args.steps is None:
-        return SolverOptions()
-    return SolverOptions(steps=args.steps)
-
-
 def _cmd_solve_indirect(args) -> int:
     scn = _load_and_override(args)
-    opts = _indirect_options(args)
+    opts = SolverOptions(args.steps)
     t0 = time.time()
     sol = solve_indirect(scn, opts)
     sol.verification = verify_solution(sol)
@@ -148,23 +145,21 @@ def _cmd_solve_indirect(args) -> int:
 
 def _cmd_solve_direct(args) -> int:
     scn = _load_and_override(args)
-    dopts = DirectOptions()
-    if args.nodes is not None:
-        dopts = DirectOptions(N=args.nodes)
+    dopts = DirectOptions(args.nodes)
     t0 = time.time()
     dsol = solve_direct(scn, dopts)
     elapsed = time.time() - t0
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     emit_direct_csv(dsol, outdir / "direct_trajectory.csv")
-    doc = {"alpha": dsol.alpha, "N": dsol.grid.N, "tf": dsol.grid.tf,
+    doc = {"alpha": dsol.scenario.alpha, "N": len(dsol.chi), "tf": dsol.tf,
            "cost": dsol.cost, "converged": dsol.converged,
            "residuals_si": list(map(float, dsol.residuals)),
            "n_fev": dsol.n_fev}
     with open(outdir / "direct_solution.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"direct cost {dsol.cost:.6f}  tf {dsol.grid.tf:.3f} s  "
+    print(f"direct cost {dsol.cost:.6f}  tf {dsol.tf:.3f} s  "
           f"converged {dsol.converged}  [{elapsed:.1f} s]")
     return 0 if dsol.converged else 1
 
@@ -194,20 +189,20 @@ def run_compare(scn: Scenario, outdir, opts: SolverOptions,
         w = csv.writer(fh)
         w.writerow(["t", "chi_indirect", "pi_indirect",
                     "chi_direct", "pi_direct"])
-        for k in range(dsol.grid.N):
+        for k in range(len(dsol.chi)):
             tk = dsol.t[k]
             w.writerow([_fmt(v) for v in (
                 tk,
                 np.interp(tk, traj.t, traj.states[:, 4]),
                 np.interp(tk, traj.t, traj.throttle),
-                dsol.grid.chi[k], dsol.grid.pi[k])])
+                dsol.chi[k], dsol.pi[k])])
     gap = abs(sol.cost - dsol.cost) / max(abs(dsol.cost), 1e-30)
     report = {
         "cost_indirect": sol.cost,
         "cost_direct": dsol.cost,
         "relative_gap": gap,
         "tf_indirect": sol.schedule.tf,
-        "tf_direct": dsol.grid.tf,
+        "tf_direct": dsol.tf,
         "chattering_sign_changes": chattering_metric(dsol, sol),
         "indirect_converged": sol.converged,
         "direct_converged": dsol.converged,
@@ -222,9 +217,8 @@ def run_compare(scn: Scenario, outdir, opts: SolverOptions,
 
 def _cmd_compare(args) -> int:
     scn = _load_and_override(args)
-    opts = _indirect_options(args)
-    dopts = DirectOptions() if args.nodes is None else DirectOptions(N=args.nodes)
-    sol, dsol = run_compare(scn, args.out, opts, dopts)
+    sol, dsol = run_compare(scn, args.out, SolverOptions(args.steps),
+                            DirectOptions(args.nodes))
     gap = abs(sol.cost - dsol.cost) / max(abs(dsol.cost), 1e-30)
     print(f"indirect {sol.cost:.6f}  direct {dsol.cost:.6f}  "
           f"relative gap {gap:.3e}")
@@ -234,9 +228,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep_alpha(args) -> int:
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--alphas {args.alphas!r}: {exc}") from exc
     scn = _load_and_override(args)
-    opts = _indirect_options(args)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    opts = SolverOptions(args.steps)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -257,20 +254,22 @@ def _cmd_sweep_alpha(args) -> int:
     return worst
 
 
-def _cmd_verify(args) -> int:
-    rundir = Path(args.solution)
+def _load_run(rundir: Path):
+    """(scenario, schedule, weight, steps per arc, cost) of a run directory."""
     with open(rundir / "solution.json") as fh:
         doc = json.load(fh)
-    scn = load_scenario(rundir / "scenario.json")
-    sched = ArcSchedule(doc["schedule"]["t1"], doc["schedule"]["t2"],
-                        doc["schedule"]["tf"], doc["schedule"]["chi0"],
-                        final_throttle=doc["schedule"].get("final_throttle"))
-    sol = realize_solution(scn, sched, alpha=doc["alpha"],
-                           steps=int(doc.get("steps", 400)))
+    return (load_scenario(rundir / "scenario.json"),
+            ArcSchedule(**doc["schedule"]), float(doc["alpha"]),
+            int(doc.get("steps", 400)), float(doc["cost"]))
+
+
+def _cmd_verify(args) -> int:
+    scn, sched, alpha, steps, cost = _read(Path(args.solution), _load_run)
+    sol = realize_solution(scn, sched, alpha=alpha, steps=steps)
     sol.verification = verify_solution(sol)
     print(sol.verification.summary())
-    drift = abs(sol.cost - doc["cost"])
-    print(f"re-integrated cost {sol.cost:.6f} (stored {doc['cost']:.6f}, "
+    drift = abs(sol.cost - cost)
+    print(f"re-integrated cost {sol.cost:.6f} (stored {cost:.6f}, "
           f"drift {drift:.3e})")
     return 0 if sol.verification.all_passed else 2
 
@@ -292,27 +291,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve-indirect", help="switching-point solve")
     common(sp)
-    sp.add_argument("--steps", type=int, default=None,
+    sp.add_argument("--steps", type=int, default=SolverOptions.steps,
                     help="integration steps per arc")
     sp.set_defaults(func=_cmd_solve_indirect)
 
     sp = sub.add_parser("solve-direct", help="transcription baseline solve")
     common(sp)
-    sp.add_argument("--nodes", type=int, default=None,
+    sp.add_argument("--nodes", type=int, default=DirectOptions.N,
                     help="control nodes for the transcription")
     sp.set_defaults(func=_cmd_solve_direct)
 
     sp = sub.add_parser("compare", help="run both solvers and report the gap")
     common(sp)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--nodes", type=int, default=None)
+    sp.add_argument("--steps", type=int, default=SolverOptions.steps)
+    sp.add_argument("--nodes", type=int, default=DirectOptions.N)
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser(
         "sweep-alpha",
         help="solve a list of cost weights by warm-started continuation")
     common(sp)
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--steps", type=int, default=SolverOptions.steps)
     sp.add_argument("--alphas", required=True,
                     help="comma-separated weights, e.g. 0.1,0.3,0.5")
     sp.set_defaults(func=_cmd_sweep_alpha)
@@ -326,10 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "alpha", None) is not None:
-        if not 0.0 <= args.alpha <= 1.0:
-            print(f"error: alpha={args.alpha} outside [0, 1]", file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except CruiseOptError as exc:

@@ -49,31 +49,23 @@ _STALL_RTOL = 1e-7     # penalized model by no more than this share of it
 
 
 @dataclass(frozen=True)
-class DirectGrid:
-    """Node controls of the transcribed problem."""
-
-    N: int
-    chi: np.ndarray  # (N,)
-    pi: np.ndarray   # (N,)
-    tf: float
+class DirectOptions:
+    N: int = 400  # control nodes
 
     def __post_init__(self):
         if self.N < 2:
             raise ValidationError("direct grid needs at least 2 nodes")
-        if len(self.chi) != self.N or len(self.pi) != self.N:
-            raise ValidationError("control arrays must have N entries")
-
-
-@dataclass(frozen=True)
-class DirectOptions:
-    N: int = 400
 
 
 @dataclass
 class DirectSolution:
+    """Node controls `chi` and `pi` and final time `tf` of the transcribed
+    problem at the scenario's weight, with the N + 1 node times and states."""
+
     scenario: Scenario
-    alpha: float
-    grid: DirectGrid
+    chi: np.ndarray        # (N,) node headings
+    pi: np.ndarray         # (N,) node throttles
+    tf: float
     t: np.ndarray          # (N+1,) node times
     states: np.ndarray     # (N+1, 4)
     cost: float
@@ -161,10 +153,9 @@ class _DirectRollout:
     """Decision vector [chi_0..chi_{N-1}, pi_0..pi_{N-1}, tf/Ts] -> (J, c),
     inside the box `lower`..`upper` that every iterate is projected onto."""
 
-    def __init__(self, ctx: CruiseContext, scn: Scenario, alpha: float, N: int):
+    def __init__(self, ctx: CruiseContext, scn: Scenario, N: int):
         self.ctx = ctx
         self.scn = scn
-        self.alpha = alpha
         self.N = N
         self.x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
         # tf >= 100 s, so every rollout has a positive step
@@ -182,7 +173,7 @@ class _DirectRollout:
         chi, pi, tf = self.split(u)
         final, states = euler_rollout(self.ctx, self.x0, chi, pi, tf, self.N,
                                       full_output=True)
-        j = self.alpha * tf + (self.alpha - 1.0) * final[3]
+        j = self.scn.alpha * tf + (self.scn.alpha - 1.0) * final[3]
         c = np.stack([
             (final[0] - self.scn.xf) / _POS,
             (final[1] - self.scn.yf) / _POS,
@@ -266,7 +257,7 @@ def _gauss_newton(ro: _DirectRollout, z, nu, rho: float):
         with np.errstate(over="ignore", invalid="ignore"):
             return j + nu @ c + 0.5 * rho * (c @ c), j, c, states
 
-    alpha = ro.alpha
+    alpha = ro.scn.alpha
     z = np.clip(np.array(z, dtype=float), ro.lower, ro.upper)
     m0, j, c, states = penalized(z)
     trail = [m0]
@@ -333,8 +324,9 @@ def solve_augmented_lagrangian(ro: _DirectRollout, z) -> DirectSolution:
     scn, final = ro.scn, states[-1]
     return DirectSolution(
         scenario=scn,
-        alpha=ro.alpha,
-        grid=DirectGrid(N=ro.N, chi=chi.copy(), pi=pi.copy(), tf=float(tf)),
+        chi=chi.copy(),
+        pi=pi.copy(),
+        tf=float(tf),
         t=np.linspace(0.0, float(tf), ro.N + 1),
         states=states,
         cost=float(j),
@@ -347,12 +339,10 @@ def solve_augmented_lagrangian(ro: _DirectRollout, z) -> DirectSolution:
 
 
 def solve_direct(scn: Scenario, options: DirectOptions | None = None,
-                 alpha: float | None = None,
                  warm_start: "object | None" = None) -> DirectSolution:
-    """Solve the transcribed problem; optionally warm-start from an indirect
-    solution's sampled controls."""
+    """Solve the transcribed problem at the scenario's cost weight;
+    optionally warm-start from an indirect solution's sampled controls."""
     options = options or DirectOptions()
-    alpha = scn.alpha if alpha is None else alpha
     N = options.N
 
     if warm_start is not None:
@@ -379,7 +369,7 @@ def solve_direct(scn: Scenario, options: DirectOptions | None = None,
         pi0 = np.full(N, 0.5 * (scn.pi_min + scn.pi_max))
     u0 = np.concatenate([chi0, pi0, [tf0 / _TF_UNIT]])
     return solve_augmented_lagrangian(
-        _DirectRollout(make_context(scn), scn, alpha, N), u0)
+        _DirectRollout(make_context(scn), scn, N), u0)
 
 
 def chattering_metric(direct: DirectSolution, indirect) -> int:
@@ -391,7 +381,7 @@ def chattering_metric(direct: DirectSolution, indirect) -> int:
     if not np.any(mask):
         return 0
     pi_sing = np.interp(direct.t[:-1][mask], traj.t, traj.throttle)
-    diff = direct.grid.pi[mask] - pi_sing
+    diff = direct.pi[mask] - pi_sing
     signs = np.sign(diff)
     signs = signs[signs != 0]
     return int(np.sum(signs[1:] != signs[:-1]))

@@ -383,7 +383,7 @@ def _singular_costates(ctx: CruiseContext, traj: Trajectory,
     first = mid[0] - 1 if mid[0] > 0 else 0
     x, y, v, m, chi = traj.states[first:mid[-1] + 1].T
     lam = solve_costates_on_singular(ctx, x, y, v, m, chi, alpha)
-    return first, np.column_stack(lam.as_tuple())
+    return first, np.column_stack(lam)
 
 
 def _final_arc_costates(ctx: CruiseContext, traj: Trajectory, j: int,

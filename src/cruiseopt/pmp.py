@@ -42,7 +42,6 @@ co-state `lam` indexed by component ((4, n) for n states).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +56,6 @@ _SX, _, _SV, _SM = STATE_SCALES
 
 EPS_DET = 1.0e-10   # on the equilibrated determinant
 EPS_DEN = 1.0e-12   # on the feedback denominator (unit-costate normalization)
-
-
-@dataclass(frozen=True)
-class Costate:
-    """A co-state, at one state or, from an array solve, over states."""
-
-    lam_x: float
-    lam_y: float
-    lam_v: float
-    lam_m: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.lam_x, self.lam_y, self.lam_v, self.lam_m)
 
 
 def hamiltonian(ctx: CruiseContext, x: float, y: float, v: float, m: float,
@@ -219,13 +205,13 @@ def scaled_det(ctx: CruiseContext, x, y, v, m, chi):
                                 np.cos(chi), np.sin(chi)))
 
 
-def _unit_costate(ctx: CruiseContext, m, sysm, eps_det: float):
+def _unit_costate(ctx: CruiseContext, m, sysm):
     """Unit-weight co-state from a `_system` tuple, guarded on its
-    determinant; over arrays of states the first state below the guard
-    raises."""
+    determinant by `EPS_DET`; over arrays of states the first state below
+    the guard raises."""
     c, s, _, _, pol, k, delta, _, _ = sysm
     det = _det(ctx, m, sysm)
-    bad = np.flatnonzero(np.abs(det) < eps_det)
+    bad = np.flatnonzero(np.abs(det) < EPS_DET)
     if bad.size:
         d = float(np.ravel(det)[bad[0]])
         # unit rows: 1/|det| stands in for the condition number
@@ -236,16 +222,17 @@ def _unit_costate(ctx: CruiseContext, m, sysm, eps_det: float):
 
 
 def solve_costates_on_singular(ctx: CruiseContext, x, y, v, m, chi,
-                               alpha: float,
-                               eps_det: float = EPS_DET) -> Costate:
-    """Co-state on the singular arc for cost weight alpha > 0, at one state
-    or, with each coordinate an array, at every state at once."""
+                               alpha: float):
+    """Co-state (lam_x, lam_y, lam_v, lam_m) on the singular arc for cost
+    weight alpha > 0, at one state or, with each coordinate an array, at
+    every state at once.  Raises `IllConditionedSystemError` at the first
+    state whose equilibrated determinant is below `EPS_DET`."""
     if alpha <= 0.0:
         raise ValueError("algebraic co-state solve requires alpha > 0")
     sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, np.cos(chi),
                    np.sin(chi))
-    lx, ly, lv, lm = _unit_costate(ctx, m, sysm, eps_det)
-    return Costate(alpha * lx, alpha * ly, alpha * lv, alpha * lm)
+    lx, ly, lv, lm = _unit_costate(ctx, m, sysm)
+    return alpha * lx, alpha * ly, alpha * lv, alpha * lm
 
 
 def singular_throttle(ctx: CruiseContext, v: float, m: float, chi: float,

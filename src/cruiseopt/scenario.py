@@ -150,8 +150,8 @@ def save_scenario(scn: Scenario, path) -> None:
         fh.write("\n")
 
 
-def make_context(scn: Scenario, atm: Atmosphere | None = None) -> CruiseContext:
-    return CruiseContext(scn.aircraft, atm or Atmosphere(), scn.wind, scn.h)
+def make_context(scn: Scenario) -> CruiseContext:
+    return CruiseContext(scn.aircraft, Atmosphere(), scn.wind, scn.h)
 
 
 def default_scenario_path() -> Path:
@@ -160,7 +160,3 @@ def default_scenario_path() -> Path:
 
 def default_constant_wind_scenario_path() -> Path:
     return Path(resources.files("cruiseopt") / "data" / "scenario_constant_wind.json")
-
-
-def default_aircraft_path() -> Path:
-    return Path(resources.files("cruiseopt") / "data" / "aircraft_medium_haul.json")

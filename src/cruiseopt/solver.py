@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import CruiseContext
-from .errors import CruiseOptError, DegenerateGeometryError
+from .errors import CruiseOptError, DegenerateGeometryError, ValidationError
 from .integrate import (
     ArcSchedule,
     Trajectory,
@@ -44,11 +44,15 @@ _SPD = STATE_SCALES[2]
 class SolverOptions:
     steps: int = 400           # RK4 steps per arc for the returned trajectory
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValidationError(
+                f"steps={self.steps}: need at least 1 step per arc")
+
 
 @dataclass
 class Solution:
-    scenario: Scenario
-    alpha: float
+    scenario: Scenario         # its alpha is the solution's cost weight
     schedule: ArcSchedule
     trajectory: Trajectory
     cost: float
@@ -56,12 +60,7 @@ class Solution:
     converged: bool
     n_fev: int                 # shooting rollouts, whole or partial
     start_index: int
-    clamp_count: int
     verification: "VerificationReport | None" = None
-
-    @property
-    def t1(self) -> float:
-        return self.schedule.t1
 
 
 def chi0_constant_wind(scn: Scenario, tf: float) -> float:
@@ -424,7 +423,7 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
                                                 resolutions)
         n_fev += spent
         if closed:
-            return _realized(ctx, scn, *ro, scn.alpha, n_fev, idx)
+            return _realized(ctx, scn, *ro, n_fev, idx)
         tried.append((idx, sched))
     # no start closed: the feasible result of lowest cost, else the least
     # infeasible one, among those that realize
@@ -451,25 +450,31 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
 def realize_solution(scn: Scenario, sched: ArcSchedule,
                      alpha: float | None = None, steps: int = 400) -> Solution:
     """Integrate a switching schedule into a full diagnosed Solution: the
-    rollout, the co-states where a singular arc and a positive weight allow
-    them, then the one diagnostics pass.
+    rollout at `steps` RK4 steps per arc (at least 1), the co-states where
+    a singular arc and a positive weight allow them, then the one
+    diagnostics pass.  A given `alpha` replaces the scenario's weight, and
+    the solution's scenario carries it.
 
     Rebuilds a solution from its serialized schedule for after-the-fact
     verification; the solver realizes a closed solve's schedule from the
     rollout its shooting solve ended on, through the same tail.
     """
-    alpha = scn.alpha if alpha is None else alpha
+    if steps < 1:
+        raise ValidationError(f"steps={steps}: need at least 1 step per arc")
+    if alpha is not None:
+        scn = scn.replace_alpha(alpha)
     ctx = make_context(scn)
     x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
-    traj = integrate_arcs(ctx, sched, x0, alpha, scn.pi_min, scn.pi_max,
+    traj = integrate_arcs(ctx, sched, x0, scn.alpha, scn.pi_min, scn.pi_max,
                           steps_per_arc=steps)
-    return _realized(ctx, scn, sched, traj, alpha)
+    return _realized(ctx, scn, sched, traj)
 
 
 def _realized(ctx: CruiseContext, scn: Scenario, sched: ArcSchedule,
-              traj: Trajectory, alpha: float, n_fev: int = 0,
+              traj: Trajectory, n_fev: int = 0,
               start_index: int = -1) -> Solution:
     """The Solution of a schedule's rollout `traj`, which it fills in."""
+    alpha = scn.alpha
     # the rollout's skip rule decides whether a singular arc exists
     if alpha > 0.0 and np.any(traj.arc_id == 1):
         traj = reconstruct_costates(ctx, traj, sched, alpha, scn.pi_min,
@@ -483,7 +488,6 @@ def _realized(ctx: CruiseContext, scn: Scenario, sched: ArcSchedule,
     cost = alpha * sched.tf + (alpha - 1.0) * traj.final_mass
     return Solution(
         scenario=scn,
-        alpha=alpha,
         schedule=sched,
         trajectory=traj,
         cost=cost,
@@ -491,18 +495,16 @@ def _realized(ctx: CruiseContext, scn: Scenario, sched: ArcSchedule,
         converged=True,
         n_fev=n_fev,
         start_index=start_index,
-        clamp_count=traj.clamp_count,
     )
 
 
-@dataclass(frozen=True)
-class VerifyTolerances:
-    tol_H: float = 1e-5        # Hamiltonian drift around -alpha
-    tol_S: float = 1e-6        # |S| on the singular arc
-    tol_S_sign: float = 1e-10  # slack for the sign checks next to junctions
-    tol_LC: float = 1e-10      # slack on the second-order condition
-    tol_lam_m: float = 1e-4    # transversality on the mass co-state
-    tol_chi: float = 1e-6      # heading/co-state consistency
+# verify_solution's tolerances
+_TOL_H = 1e-5          # Hamiltonian drift around -alpha
+_TOL_S = 1e-6          # |S| on the singular arc
+_TOL_S_SIGN = 1e-10    # slack for the sign checks next to junctions
+_TOL_LC = 1e-10        # slack on the second-order condition
+_TOL_LAM_M = 1e-4      # transversality on the mass co-state
+_TOL_CHI = 1e-6        # heading/co-state consistency
 
 
 @dataclass
@@ -554,26 +556,25 @@ def _where(traj: Trajectory, bad: np.ndarray) -> str:
     return "; ".join(parts)
 
 
-def verify_solution(sol: Solution,
-                    tol: VerifyTolerances | None = None) -> VerificationReport:
-    """First- and second-order optimality checks on a solved trajectory.
+def verify_solution(sol: Solution) -> VerificationReport:
+    """First- and second-order optimality checks on a solved trajectory,
+    against the fixed tolerances `_TOL_*` of this module.
 
-    Report-only; every check records its measured extreme, and a failing
-    check names the arcs and the time windows where it fails.  Co-state-based
-    checks are skipped when co-states were not reconstructed (zero cost
-    weight or bang-bang degenerate schedules).
+    Report-only; every check records its measured extreme and its
+    threshold, and a failing check names the arcs and the time windows
+    where it fails.  Co-state-based checks are skipped when co-states were
+    not reconstructed (zero cost weight or bang-bang degenerate schedules).
     """
-    tol = tol or VerifyTolerances()
     traj = sol.trajectory
     rep = VerificationReport()
-    alpha = sol.alpha
+    alpha = sol.scenario.alpha
     has_costates = traj.costates is not None and np.any(
         np.isfinite(traj.costates)
     )
 
     if not has_costates:
-        for name, threshold in (("hamiltonian_constancy", tol.tol_H),
-                                ("switching_structure", tol.tol_S),
+        for name, threshold in (("hamiltonian_constancy", _TOL_H),
+                                ("switching_structure", _TOL_S),
                                 ("legendre_clebsch", 0.0),
                                 ("transversality_lam_m", 0.0),
                                 ("heading_costate_consistency", 0.0)):
@@ -583,8 +584,8 @@ def verify_solution(sol: Solution,
         dev = np.abs(traj.H + alpha)
         drift = float(np.nanmax(dev))
         rep.checks.append(CheckResult(
-            "hamiltonian_constancy", drift <= tol.tol_H, drift, tol.tol_H,
-            _where(traj, dev > tol.tol_H)))
+            "hamiltonian_constancy", drift <= _TOL_H, drift, _TOL_H,
+            _where(traj, dev > _TOL_H)))
 
         on_max = (traj.arc_id == 0) & (traj.t < sol.schedule.t1)
         on_end = (traj.arc_id == 2) & (traj.t > sol.schedule.t2)
@@ -599,26 +600,25 @@ def verify_solution(sol: Solution,
         smax = float(np.nanmax(traj.S[on_max])) if np.any(on_max) else -math.inf
         smin = float(np.nanmin(traj.S[on_min])) if np.any(on_min) else math.inf
         ssing = float(np.nanmax(np.abs(traj.S[on_sing]))) if np.any(on_sing) else 0.0
-        ok = (smax < tol.tol_S_sign and smin > -tol.tol_S_sign
-              and ssing <= tol.tol_S)
-        if smax >= tol.tol_S_sign:
+        ok = smax < _TOL_S_SIGN and smin > -_TOL_S_SIGN and ssing <= _TOL_S
+        if smax >= _TOL_S_SIGN:
             detail = "S sign violated on max throttle: " + _where(
-                traj, on_max & (traj.S >= tol.tol_S_sign))
-        elif smin <= -tol.tol_S_sign:
+                traj, on_max & (traj.S >= _TOL_S_SIGN))
+        elif smin <= -_TOL_S_SIGN:
             detail = "S sign violated on min throttle: " + _where(
-                traj, on_min & (traj.S <= -tol.tol_S_sign))
+                traj, on_min & (traj.S <= -_TOL_S_SIGN))
         worst = max(smax, -smin, ssing)
         rep.checks.append(CheckResult(
-            "switching_structure", ok, worst, tol.tol_S, detail))
+            "switching_structure", ok, worst, _TOL_S, detail))
 
         lc_min = float(np.nanmin(traj.lc[on_sing])) if np.any(on_sing) else 0.0
         rep.checks.append(CheckResult(
-            "legendre_clebsch", lc_min >= -tol.tol_LC, lc_min, tol.tol_LC,
-            _where(traj, on_sing & (traj.lc < -tol.tol_LC))))
+            "legendre_clebsch", lc_min >= -_TOL_LC, lc_min, _TOL_LC,
+            _where(traj, on_sing & (traj.lc < -_TOL_LC))))
         lam_m_f = float(traj.costates[-1, 3])
         err = abs(lam_m_f - (alpha - 1.0))
         rep.checks.append(CheckResult(
-            "transversality_lam_m", err <= tol.tol_lam_m, err, tol.tol_lam_m,
+            "transversality_lam_m", err <= _TOL_LAM_M, err, _TOL_LAM_M,
             f"lam_m(tf)={lam_m_f:.6f} at tf={traj.t[-1]:.1f} s"))
         # sine of the angle between (lam_x, lam_y) and the heading line;
         # no pole at chi = +-pi/2
@@ -630,8 +630,8 @@ def verify_solution(sol: Solution,
                      / np.hypot(lam_x, lam_y))
         chi_err = float(np.nanmax(resid))
         rep.checks.append(CheckResult(
-            "heading_costate_consistency", chi_err <= tol.tol_chi, chi_err,
-            tol.tol_chi, _where(traj, resid > tol.tol_chi)))
+            "heading_costate_consistency", chi_err <= _TOL_CHI, chi_err,
+            _TOL_CHI, _where(traj, resid > _TOL_CHI)))
 
     n_bad = int(np.sum(~traj.envelope_ok))
     rep.checks.append(CheckResult(

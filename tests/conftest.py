@@ -8,8 +8,10 @@ Solver options are trimmed relative to the library defaults; the tolerances
 the tests assert against are unchanged.
 """
 
+import importlib.util
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,16 @@ from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 make_context)
 from cruiseopt.solver import SolverOptions, solve_indirect
+
+
+def census_script():
+    """`scripts/start_grid_census.py`, loaded as a module."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "start_grid_census", root / "scripts" / "start_grid_census.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def fast_options(**overrides) -> SolverOptions:

@@ -177,8 +177,7 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
     mid_idx = list(range(first_mid, mid[-1] + 1))
     for i in mid_idx:
         x, y, v, m, chi = traj.states[i]
-        cs = solve_costates_on_singular(ctx, x, y, v, m, chi, alpha)
-        lam[i] = cs.as_tuple()
+        lam[i] = solve_costates_on_singular(ctx, x, y, v, m, chi, alpha)
     pre = np.where(traj.arc_id == 0)[0]
     if len(pre) > 1 and schedule.t1 > 0.0:
         j = mid_idx[0]
@@ -273,7 +272,7 @@ def singular_costates(ctx: CruiseContext, traj: Trajectory,
     if not (schedule.t1 < schedule.t2 and mid):
         raise ValidationError("co-state reconstruction requires a singular arc")
     first = mid[0] - 1 if mid[0] > 0 else 0
-    lams = [solve_costates_on_singular(ctx, x, y, v, m, chi, alpha).as_tuple()
+    lams = [solve_costates_on_singular(ctx, x, y, v, m, chi, alpha)
             for x, y, v, m, chi in traj.states[first:mid[-1] + 1]]
     return first, lams
 

@@ -3,13 +3,21 @@
 The dense Jacobians of the dynamics, the heading derivative of the drift,
 the tan-based navigation law, and the lift-coefficient chain for drag and
 fuel flow.  The library evaluates these quantities in closed or sparse form
-through `CruiseContext`; the tests check those forms against these.
+through `CruiseContext`; the tests check those forms against these.  Also
+the path of the shipped aircraft file, which only the tests open on its own.
 """
 
 import math
+from importlib import resources
+from pathlib import Path
 
 from cruiseopt.atmosphere import AircraftModel, Atmosphere, air_density
 from cruiseopt.errors import DomainError
+
+
+def default_aircraft_path() -> Path:
+    return Path(resources.files("cruiseopt") / "data"
+                / "aircraft_medium_haul.json")
 
 
 def jacobian_Q(ctx, x: float, y: float, v: float, m: float, chi: float):

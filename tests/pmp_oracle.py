@@ -30,8 +30,8 @@ import numpy as np
 
 from cruiseopt.dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from cruiseopt.errors import SingularDenominatorError
-from cruiseopt.pmp import (EPS_DEN, EPS_DET, STATE_SCALES, Costate, _brackets,
-                          _det, _polar, _system, _unit_costate, adjoint_rate,
+from cruiseopt.pmp import (EPS_DEN, STATE_SCALES, _brackets, _det, _polar,
+                          _system, _unit_costate, adjoint_rate,
                           costate_coefficients)
 
 from model_oracle import jacobian_P, jacobian_Q
@@ -50,7 +50,7 @@ def lie_A(ctx: CruiseContext, v: float, m: float, chi: float):
 
 
 def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
-                        m: float, chi: float, eps_det: float = EPS_DET):
+                        m: float, chi: float):
     """Solve the singular-arc co-state system normalized to unit cost weight.
 
     Returns lambda satisfying <l,P>=0, <l,A>=0, <l,Q>=-1 and
@@ -60,7 +60,7 @@ def solve_costates_unit(ctx: CruiseContext, x: float, y: float, v: float,
     """
     sysm = _system(ctx, ctx.wind.wind_at(x, y), v, m, math.cos(chi),
                    math.sin(chi))
-    return _unit_costate(ctx, m, sysm, eps_det), _det(ctx, m, sysm)
+    return _unit_costate(ctx, m, sysm), _det(ctx, m, sysm)
 
 
 class FeedbackEval(NamedTuple):
@@ -78,7 +78,7 @@ def composed_feedback(ctx: CruiseContext, v: float, m: float, chi: float,
     system, unit co-state and bracket helpers; `wind` and `grads` are the
     wind and its gradients at the position."""
     sysm = _system(ctx, wind, v, m, math.cos(chi), math.sin(chi))
-    lx, ly, lv, lm = _unit_costate(ctx, m, sysm, EPS_DET)
+    lx, ly, lv, lm = _unit_costate(ctx, m, sysm)
     b, d = _brackets(ctx, m, sysm[0], sysm[1], sysm[4], grads)
     num = lx * b[0] + ly * b[1] + lv * b[2] + lm * b[3]
     den = lx * d[0] + ly * d[1] + lv * d[2] + lm * d[3]
@@ -156,7 +156,7 @@ def costates_solve(ctx, x, y, v, m, chi, alpha):
     """Co-state from a dense solve of the equilibrated system."""
     rows, norms = equilibrate(build_M(ctx, x, y, v, m, chi))
     rhs = np.array([0.0, 0.0, -alpha / norms[2], 0.0])
-    return Costate(*(np.linalg.solve(rows, rhs) / SCALES))
+    return tuple(np.linalg.solve(rows, rhs) / SCALES)
 
 
 def costates_adjugate(ctx, x, y, v, m, chi, alpha):
@@ -165,7 +165,7 @@ def costates_adjugate(ctx, x, y, v, m, chi, alpha):
     det = np.linalg.det(scaled)
     adj = np.linalg.inv(scaled) * det
     lam_scaled = adj @ np.array([0.0, 0.0, -alpha, 0.0]) / det
-    return Costate(*(lam_scaled / SCALES))
+    return tuple(lam_scaled / SCALES)
 
 
 def dA_dX_fd(ctx, v, m, chi, rel=1e-6):
@@ -192,7 +192,7 @@ def lie_B_D(ctx, x, y, v, m, chi):
 
 def singular_throttle(ctx, x, y, v, m, chi, alpha):
     """(throttle, lc) from the solved co-state and the FD brackets."""
-    lam = np.array(costates_solve(ctx, x, y, v, m, chi, alpha).as_tuple())
+    lam = np.array(costates_solve(ctx, x, y, v, m, chi, alpha))
     b, d = lie_B_D(ctx, x, y, v, m, chi)
     return -float(lam @ b) / float(lam @ d), -float(lam @ d)
 

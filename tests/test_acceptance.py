@@ -63,9 +63,10 @@ def test_criterion_01_cross_method_agreement(capsys, sol_04, direct_04):
 def test_criterion_02_transversality(capsys, sol_01, sol_04, sol_05):
     worst = 0.0
     for sol in (sol_01, sol_04, sol_05):
-        assert sol.converged, f"alpha={sol.alpha} run did not converge"
+        alpha = sol.scenario.alpha
+        assert sol.converged, f"alpha={alpha} run did not converge"
         lam_m_f = sol.trajectory.costates[-1, 3]
-        worst = max(worst, abs(lam_m_f - (sol.alpha - 1.0)))
+        worst = max(worst, abs(lam_m_f - (alpha - 1.0)))
     report(capsys, 2, worst < 1e-4,
            f"max |lam_m(tf) - (alpha-1)| = {worst:.3e} over "
            f"alpha in (0.1, 0.4, 0.5) (tol 1e-4)")
@@ -75,7 +76,7 @@ def test_criterion_03_hamiltonian_constancy(capsys, sol_01, sol_04, sol_05):
     worst = 0.0
     for sol in (sol_01, sol_04, sol_05):
         worst = max(worst, float(np.nanmax(np.abs(sol.trajectory.H
-                                                  + sol.alpha))))
+                                                  + sol.scenario.alpha))))
     report(capsys, 3, worst <= 1e-5,
            f"max |H + alpha| = {worst:.3e} (tol 1e-5)")
 
@@ -204,7 +205,7 @@ def test_criterion_09_singular_feedback_self_consistency(capsys, sol_04):
     traj = sol_04.trajectory
     scn = sol_04.scenario
     ctx = make_context(scn)
-    alpha = sol_04.alpha
+    alpha = sol_04.scenario.alpha
     mid = np.where(traj.arc_id == 1)[0]
 
     # S differentiated twice along the stored singular samples
@@ -234,11 +235,11 @@ def test_criterion_09_singular_feedback_self_consistency(capsys, sol_04):
     span = min(20, len(mid) - 1)
     for i0, i1 in ((mid[0], mid[0] + span), (mid[-1], mid[-1] - span)):
         lam0 = np.array(solve_costates_on_singular(
-            ctx, *traj.states[i0], alpha).as_tuple())
+            ctx, *traj.states[i0], alpha))
         s = rk4(np.concatenate([traj.states[i0], lam0]),
                 traj.t[i0], traj.t[i1], 8 * span)
         lam_alg = np.array(solve_costates_on_singular(
-            ctx, *traj.states[i1], alpha).as_tuple())
+            ctx, *traj.states[i1], alpha))
         diff = np.max(np.abs((s[5:] - lam_alg) * scales))
         lam_err = max(lam_err, diff / np.max(np.abs(lam_alg * scales)))
 

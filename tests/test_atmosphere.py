@@ -11,9 +11,9 @@ from cruiseopt.atmosphere import (AircraftModel, Atmosphere,
                                   air_density, fuel_flow_slope, load_aircraft,
                                   mach_number, max_thrust)
 from cruiseopt.errors import DomainError, ValidationError
-from cruiseopt.scenario import default_aircraft_path
 
-from model_oracle import drag, drag_partials, fuel_flow_coeff
+from model_oracle import (default_aircraft_path, drag, drag_partials,
+                          fuel_flow_coeff)
 
 ATM = Atmosphere()
 AC = load_aircraft(default_aircraft_path())

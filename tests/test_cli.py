@@ -1,7 +1,6 @@
 """CLI and serialization tests: round trips, CSV schema, determinism."""
 
 import csv
-import importlib.util
 import json
 import os
 import shutil
@@ -16,10 +15,12 @@ from cruiseopt import cli, solver
 from cruiseopt.cli import (build_parser, emit_direct_csv, emit_trajectory_csv,
                            main, write_solution_dir)
 from cruiseopt.integrate import ArcSchedule
-from cruiseopt.scenario import (default_aircraft_path,
-                                default_constant_wind_scenario_path,
+from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 save_scenario)
+
+from conftest import census_script
+from model_oracle import default_aircraft_path
 
 
 class TestScenarioRoundTrip:
@@ -79,7 +80,7 @@ def test_direct_csv_schema(direct_04, tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "x", "y", "v", "m", "chi", "pi"]
-    assert len(rows) == direct_04.grid.N + 2  # header + N nodes + terminal
+    assert len(rows) == len(direct_04.chi) + 2  # header, N nodes, terminal
 
 
 class TestSolutionDirectory:
@@ -93,7 +94,7 @@ class TestSolutionDirectory:
             doc = json.load(fh)
         assert doc["converged"] is True
         assert doc["schedule"]["final_throttle"] is None
-        assert doc["alpha"] == sol_04.alpha
+        assert doc["alpha"] == sol_04.scenario.alpha
         # the stored directory is self-contained: the verify command
         # re-integrates the schedule and re-runs every check
         assert main(["verify", "--solution", str(outdir)]) == 0
@@ -156,11 +157,7 @@ def test_start_grid_census_keeps_its_floor(alpha, starts, floor):
     second solve with a max-throttle final arc, and at alpha = 0.9, where
     the collapsed singular arc is pinned, 17 of 18 do.  Every closing start
     reaches the best cost."""
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "start_grid_census", root / "scripts" / "start_grid_census.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    mod = census_script()
     if alpha is None:
         scn = load_scenario(default_constant_wind_scenario_path())
     else:
@@ -171,7 +168,55 @@ def test_start_grid_census_keeps_its_floor(alpha, starts, floor):
     assert c["at_best"] == c["closing"]
 
 
+def test_route_census_prints_a_line_per_weight_band(capsys):
+    """`--routes` mode: random routes, solved cold and verified, counted by
+    cost-weight band; the counts add up to the routes drawn."""
+    census_script().route_census(4, 2, 20)
+    lines = capsys.readouterr().out.splitlines()
+    # routes that fail are listed before the table
+    head = [line.split()[:3] for line in lines].index(
+        ["weight", "steps", "routes"])
+    rows = [line.split() for line in lines[head + 1:]]
+    assert [r[0] for r in rows] == ["0.1-0.3", "0.3-0.5", "0.5-0.7"]
+    assert sum(int(r[2]) for r in rows) == 4
+    for r in rows:
+        routes, converged, verified, unconverged = map(int, r[2:6])
+        assert verified <= converged == routes - unconverged
+
+
+_BAD_INPUTS = {
+    "steps 0": ["solve-indirect", "--steps", "0"],
+    "steps -2": ["solve-indirect", "--steps", "-2"],
+    "nodes 0": ["solve-direct", "--nodes", "0"],
+    "alphas abc": ["sweep-alpha", "--alphas", "0.4,abc"],
+    "missing solution": ["verify", "--solution", "{tmp}/missing"],
+    "missing scenario": ["solve-direct", "--scenario", "{tmp}/missing.json"],
+    "malformed scenario": ["solve-direct", "--scenario", "{tmp}/bad.json"],
+}
+
+
 class TestArgumentHandling:
+    @pytest.mark.parametrize("argv", list(_BAD_INPUTS.values()),
+                             ids=list(_BAD_INPUTS))
+    def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{not json")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if argv[0] != "verify":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ")
+        assert out.err.count("\n") == 1
+        assert "Traceback" not in out.err + out.out
+
+    def test_stored_steps_below_one_is_an_error(self, scenario, tmp_path,
+                                               capsys):
+        sched = ArcSchedule(t1=46.37, t2=6102.6, tf=6157.2, chi0=0.6937)
+        sol = solver.realize_solution(scenario, sched, steps=10)
+        write_solution_dir(sol, tmp_path, steps=0)
+        assert main(["verify", "--solution", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: steps=0")
+
     def test_alpha_outside_unit_interval_rejected(self, capsys):
         rc = main(["solve-indirect", "--alpha", "1.5", "--out", "/tmp/x"])
         assert rc == 1

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import direct_oracle
 from cruiseopt import direct
-from cruiseopt.direct import (_V_FLOOR, DirectGrid, DirectOptions,
-                              _DirectRollout, chattering_metric,
-                              euler_rollout, solve_direct)
+from cruiseopt.direct import (_V_FLOOR, DirectOptions, _DirectRollout,
+                              chattering_metric, euler_rollout, solve_direct)
 from cruiseopt.errors import ValidationError
 from cruiseopt.integrate import ArcSchedule
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
@@ -34,14 +33,12 @@ def smooth_controls(n, rng=None):
     return chi, pi
 
 
-class TestDirectGrid:
+class TestDirectOptions:
     def test_needs_two_nodes(self):
-        with pytest.raises(ValidationError):
-            DirectGrid(N=1, chi=np.zeros(1), pi=np.zeros(1), tf=100.0)
-
-    def test_rejects_mismatched_arrays(self):
-        with pytest.raises(ValidationError):
-            DirectGrid(N=4, chi=np.zeros(3), pi=np.zeros(4), tf=100.0)
+        for n in (1, 0, -2):
+            with pytest.raises(ValidationError):
+                DirectOptions(N=n)
+        assert DirectOptions(N=2).N == 2
 
 
 def test_batched_rollout_matches_single_rollouts():
@@ -162,7 +159,7 @@ def test_zero_mass_rollout_matches_oracle(scn, ctx, full_output):
 
 
 def _rollout_and_states(scn, chi, pi, tf_units):
-    rollout = _DirectRollout(make_context(scn), scn, 0.4, len(chi))
+    rollout = _DirectRollout(make_context(scn), scn, len(chi))
     z = np.concatenate([chi, pi, [tf_units]])
     return rollout, z, rollout.evaluate(z)[2]
 
@@ -264,7 +261,7 @@ def test_solve_direct_rolls_out_one_column_at_a_time(monkeypatch):
     monkeypatch.setattr(direct, "euler_rollout", counting_rollout)
     monkeypatch.setattr(direct, "_MAX_OUTER", 1)
     monkeypatch.setattr(direct, "_MAXITER_INNER", 5)
-    solve_direct(SCN, DirectOptions(N=30), alpha=0.4)
+    solve_direct(SCN, DirectOptions(N=30))
     assert widths
     assert all(w == () for w in widths)
 
@@ -309,7 +306,7 @@ def test_warm_started_baseline_agrees_with_switching_solver(direct_04, sol_04):
     gap = abs(sol_04.cost - direct_04.cost) / abs(direct_04.cost)
     assert gap <= 1e-3
     # the transcription found the same arc anatomy, not a different optimum
-    assert direct_04.grid.tf == pytest.approx(sol_04.schedule.tf, rel=5e-3)
+    assert direct_04.tf == pytest.approx(sol_04.schedule.tf, rel=5e-3)
     assert chattering_metric(direct_04, sol_04) <= 4
 
 
@@ -358,7 +355,7 @@ def test_cold_inner_loop_reduces_infeasibility(monkeypatch):
     # without a warning
     monkeypatch.setattr(direct, "_MAX_OUTER", 2)
     monkeypatch.setattr(direct, "_MAXITER_INNER", 40)
-    dsol = solve_direct(SCN, DirectOptions(N=60), alpha=0.4)
+    dsol = solve_direct(SCN, DirectOptions(N=60))
     start_resid = np.array([SCN.x0 - SCN.xf, SCN.y0 - SCN.yf, 0.0])
     assert np.max(np.abs(dsol.residuals)) < 0.1 * np.max(np.abs(start_resid))
     assert dsol.n_fev > 0
@@ -378,7 +375,7 @@ def test_cold_solve_rejects_overflowing_trials_silently(monkeypatch):
         return out
 
     monkeypatch.setattr(direct, "euler_rollout", spying_rollout)
-    dsol = solve_direct(SCN, DirectOptions(N=100), alpha=0.4)
+    dsol = solve_direct(SCN, DirectOptions(N=100))
     assert max(worst) > 1e200
     assert dsol.converged
 
@@ -396,7 +393,7 @@ def test_solve_matches_generic_al_oracle(monkeypatch, request, start, N,
     loop = direct.solve_augmented_lagrangian
     monkeypatch.setattr(direct, "solve_augmented_lagrangian",
                         lambda ro, z0: calls.append((ro, z0)) or loop(ro, z0))
-    got = solve_direct(SCN, DirectOptions(N=N), alpha=0.4, warm_start=warm)
+    got = solve_direct(SCN, DirectOptions(N=N), warm_start=warm)
     (ro, z0), = calls
 
     def inner(model, z):
@@ -408,9 +405,9 @@ def test_solve_matches_generic_al_oracle(monkeypatch, request, start, N,
         feas_tol=direct._FEAS_TOL, max_outer=max_outer, rho0=direct._RHO0)
     j, _, states = ro.evaluate(res.z)
     chi, pi, tf = ro.split(res.z)
-    assert np.array_equal(got.grid.chi, chi)
-    assert np.array_equal(got.grid.pi, pi)
-    assert got.grid.tf == tf
+    assert np.array_equal(got.chi, chi)
+    assert np.array_equal(got.pi, pi)
+    assert got.tf == tf
     assert np.array_equal(got.states, states)
     assert got.cost == j
     assert np.array_equal(got.residuals,

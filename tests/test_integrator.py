@@ -290,9 +290,9 @@ class TestCostateReconstruction:
         mid = np.where(traj.arc_id == 1)[0]
         for i in mid[:: max(1, len(mid) // 7)]:
             x, y, v, m, chi = traj.states[i]
-            alg = solve_costates_on_singular(ctx, x, y, v, m, chi, sol.alpha)
-            assert traj.costates[i] == pytest.approx(alg.as_tuple(),
-                                                     rel=1e-12, abs=1e-18)
+            alg = solve_costates_on_singular(ctx, x, y, v, m, chi,
+                                             sol.scenario.alpha)
+            assert traj.costates[i] == pytest.approx(alg, rel=1e-12, abs=1e-18)
 
     def test_costates_finite_on_all_arcs(self, sol_04):
         sol = self._solved(sol_04)
@@ -566,7 +566,7 @@ def test_bang_arc_costates_are_as_accurate_as_the_joint_sweep(request,
     of the largest co-state), where their ratio stops measuring truncation;
     against a 3200-step reference it reads 1.37 there."""
     sol = request.getfixturevalue(fixture)
-    args = (sol.scenario, sol.alpha, sol.schedule)
+    args = (sol.scenario, sol.scenario.alpha, sol.schedule)
     ref = _costates(integrate_oracle, *args, 1600).costates
     for steps in (40, 100, 400):
         lib = _costates(integrate, *args, steps)
@@ -638,7 +638,7 @@ def _post_rollout_case(request, case):
                "cw": "sol_cw"}.get(case)
     if fixture is not None:
         sol = request.getfixturevalue(fixture)
-        return sol.scenario, sol.alpha, sol.schedule
+        return sol.scenario, sol.scenario.alpha, sol.schedule
     wind, alpha, sched = COMMITTED["0" if case == "0" else "0.4"]
     if case == "t1=t2":
         # a short idle arc: long ones decelerate through the stall floor

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cruiseopt import pmp
 from cruiseopt.dynamics import eval_P, eval_Q
 from cruiseopt.errors import (CruiseOptError, IllConditionedSystemError,
                               SingularDenominatorError)
@@ -106,7 +107,7 @@ def test_algebraic_costate_satisfies_defining_equations():
     for _ in range(30):
         x, y, v, m, chi = random_point(rng)
         alpha = rng.uniform(0.05, 0.95)
-        lam = solve_costates_on_singular(CTX, x, y, v, m, chi, alpha).as_tuple()
+        lam = solve_costates_on_singular(CTX, x, y, v, m, chi, alpha)
         p = eval_P(CTX, v, m)
         a = lie_A(CTX, v, m, chi)
         q = eval_Q(CTX, x, y, v, m, chi)
@@ -130,17 +131,15 @@ def test_costate_scales_linearly_with_cost_weight():
     unit, _ = solve_costates_unit(CTX, x, y, v, m, chi)
     for alpha in (1e-3, 0.3, 0.9):
         lam = solve_costates_on_singular(CTX, x, y, v, m, chi, alpha)
-        assert lam.as_tuple() == pytest.approx(
-            tuple(alpha * u for u in unit), rel=1e-14)
+        assert lam == pytest.approx(tuple(alpha * u for u in unit), rel=1e-14)
 
 
 def test_adjugate_oracle_matches_closed_form_solve():
     rng = np.random.default_rng(24)
     for _ in range(30):
         x, y, v, m, chi = random_point(rng)
-        lu = solve_costates_on_singular(CTX, x, y, v, m, chi, 0.4).as_tuple()
-        adj = pmp_oracle.costates_adjugate(
-            CTX, x, y, v, m, chi, 0.4).as_tuple()
+        lu = solve_costates_on_singular(CTX, x, y, v, m, chi, 0.4)
+        adj = pmp_oracle.costates_adjugate(CTX, x, y, v, m, chi, 0.4)
         for a, b in zip(lu, adj):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-18)
 
@@ -153,8 +152,7 @@ def test_singular_feedback_throttle_is_weight_invariant():
     b, d = lie_B_D(CTX, x, y, v, m, chi)
     lcs = []
     for alpha in (0.1, 0.9):
-        lam = solve_costates_on_singular(CTX, x, y, v, m, chi,
-                                         alpha).as_tuple()
+        lam = solve_costates_on_singular(CTX, x, y, v, m, chi, alpha)
         num = sum(lam[i] * b[i] for i in range(4))
         den = sum(lam[i] * d[i] for i in range(4))
         assert throttle == pytest.approx(-num / den, rel=1e-12)
@@ -165,7 +163,7 @@ def test_singular_feedback_throttle_is_weight_invariant():
 def test_legendre_clebsch_matches_direct_inner_product():
     rng = np.random.default_rng(25)
     x, y, v, m, chi = random_point(rng)
-    lam = solve_costates_on_singular(CTX, x, y, v, m, chi, 0.4).as_tuple()
+    lam = solve_costates_on_singular(CTX, x, y, v, m, chi, 0.4)
     _, d = lie_B_D(CTX, x, y, v, m, chi)
     expect = -sum(lam[i] * d[i] for i in range(4))
     assert legendre_clebsch(CTX, x, y, v, m, chi, lam) == pytest.approx(
@@ -183,11 +181,12 @@ def test_hamiltonian_linear_in_costate():
         h1 + h2, rel=1e-12)
 
 
-def test_degenerate_system_raises():
+def test_degenerate_system_raises(monkeypatch):
     x, y, v, m, chi = 4e5, 2e5, 230.0, 52000.0, 0.5
+    # forcing the determinant guard up must trip the error path
+    monkeypatch.setattr(pmp, "EPS_DET", 1.0)
     with pytest.raises(IllConditionedSystemError):
-        # forcing the determinant guard up must trip the error path
-        solve_costates_unit(CTX, x, y, v, m, chi, eps_det=1.0)
+        solve_costates_unit(CTX, x, y, v, m, chi)
     with pytest.raises(ValueError):
         solve_costates_on_singular(CTX, x, y, v, m, chi, 0.0)
 
@@ -212,8 +211,7 @@ def test_zero_weight_feedback_has_no_costate():
     assert evaluate_feedback(CTX, x, y, v, m, chi, 0.4) == singular_throttle(
         CTX, v, m, chi, wg)
     lam = solve_costates_on_singular(CTX, x, y, v, m, chi, 0.4)
-    assert math.isfinite(legendre_clebsch(CTX, x, y, v, m, chi,
-                                          lam.as_tuple()))
+    assert math.isfinite(legendre_clebsch(CTX, x, y, v, m, chi, lam))
 
 
 # admissible states with every heading, including both sides of the poles of
@@ -231,8 +229,8 @@ STATES = st.tuples(
 def test_closed_forms_match_matrix_oracle(state):
     """Co-state, determinant, throttle and Legendre-Clebsch value against a
     dense solve of the 4x4 system with finite-difference brackets."""
-    lam = np.array(solve_costates_on_singular(CTX, *state, 0.4).as_tuple())
-    ref = np.array(pmp_oracle.costates_solve(CTX, *state, 0.4).as_tuple())
+    lam = np.array(solve_costates_on_singular(CTX, *state, 0.4))
+    ref = np.array(pmp_oracle.costates_solve(CTX, *state, 0.4))
     scales = np.array(STATE_SCALES)
     assert (np.max(np.abs((lam - ref) * scales))
             <= 1e-9 * np.max(np.abs(ref * scales)))

@@ -8,8 +8,10 @@ import pytest
 
 from cruiseopt.errors import ValidationError
 from cruiseopt.integrate import ArcSchedule, integrate_arcs
-from cruiseopt.scenario import (default_aircraft_path, default_scenario_path,
-                                load_scenario, make_context, save_scenario)
+from cruiseopt.scenario import (default_scenario_path, load_scenario,
+                                make_context, save_scenario)
+
+from model_oracle import default_aircraft_path
 
 SCALES = {"x_scale_m": 1.5e6, "y_scale_m": 7.0e5}
 
