@@ -8,15 +8,23 @@ way `solve_indirect` solves it (a coarse shooting solve, then one at the
 final resolution from its result).  One line per weight and resolution
 gives the starts that close the switching-point system, out of 18 (6
 under constant wind), how many of those reach the best cost among them
-within 1e-6 relative, and the median rollouts per start, closing or not.
+within 1e-6 relative, and the median rollouts per start, closing or not,
+at the search resolution (20 RK4 steps per arc, where the coarse solve and
+every Jacobian roll out) and at the final one.
 
 With `--routes N`, N random routes under the shipped polynomial wind
 (`random_route`, seeded by `--seed`) are each solved cold by
 `solve_indirect` and verified.  One line per cost-weight band gives the
 routes that converged, those that converged and pass every co-state check
 (every check but the envelope monitor), those that ended unconverged, the
-median rollouts per route and the time; each route that ended unconverged
-or failed a co-state check is listed before the table.
+median rollouts per route at the search and at the final resolution, and
+the time; each route that ended unconverged or failed a co-state check is
+listed before the table.
+
+Rollouts are counted by RK4 steps per arc by wrapping
+`solver.integrate_arcs`, through which the solver makes every rollout.  At
+a final resolution of 20 steps per arc or fewer both counts are of the
+same rollouts.
 
 Usage:
     PYTHONPATH=src python scripts/start_grid_census.py [--steps 60 ...]
@@ -24,13 +32,16 @@ Usage:
 """
 
 import argparse
+import contextlib
 import math
 import statistics
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
+from cruiseopt import solver
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
                                 default_scenario_path, load_scenario,
                                 make_context)
@@ -45,15 +56,38 @@ COST_RTOL = 1e-6
 ROUTE_BANDS = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.7))
 
 
+@contextlib.contextmanager
+def rollouts_by_steps():
+    """Count the rollouts the solver makes inside the block by RK4 steps
+    per arc; yields the Counter."""
+    counts = Counter()
+    rollout = solver.integrate_arcs
+
+    def counted(*args, **kwargs):
+        counts[kwargs["steps_per_arc"]] += 1
+        return rollout(*args, **kwargs)
+
+    solver.integrate_arcs = counted
+    try:
+        yield counts
+    finally:
+        solver.integrate_arcs = rollout
+
+
+def _median(values) -> float:
+    return statistics.median(values or [0])
+
+
 def census(scn, steps: int) -> dict:
     """Per-start outcomes of the grid at `steps` RK4 steps per arc."""
     ctx = make_context(scn)
-    resolutions = (min(_SEARCH_STEPS, steps), steps)
+    coarse = min(_SEARCH_STEPS, steps)
     costs, rollouts = [], []
     for z in _start_grid(scn, isinstance(scn.wind, ConstantWind)):
-        _, closed, n_fev, rollout = _solve_start(ctx, scn, z, None,
-                                                 resolutions)
-        rollouts.append(n_fev)
+        with rollouts_by_steps() as counts:
+            _, closed, _, rollout = _solve_start(ctx, scn, z, None,
+                                                 (coarse, steps))
+        rollouts.append((counts[coarse], counts[steps]))
         if closed:
             costs.append(_realized(ctx, scn, *rollout).cost)
     best = min(costs, default=None)
@@ -62,7 +96,8 @@ def census(scn, steps: int) -> dict:
         "closing": len(costs),
         "at_best": sum(abs(c - best) <= COST_RTOL * abs(best)
                        for c in costs),
-        "median_rollouts": statistics.median(rollouts),
+        "median_coarse": _median([r[0] for r in rollouts]),
+        "median_final": _median([r[1] for r in rollouts]),
         "best_cost": best,
     }
 
@@ -102,12 +137,14 @@ def route_census(n: int, seed: int, steps: int) -> None:
     base = load_scenario(default_scenario_path())
     rng = np.random.default_rng(seed)
     rows = []
+    coarse = min(_SEARCH_STEPS, steps)
     for i in range(n):
         scn, gain = random_route(base, rng.uniform)
         t0 = time.perf_counter()
-        sol, verified = solve_route(scn, steps)
-        rows.append((scn.alpha, sol.converged, verified, sol.n_fev,
-                     time.perf_counter() - t0))
+        with rollouts_by_steps() as counts:
+            sol, verified = solve_route(scn, steps)
+        rows.append((scn.alpha, sol.converged, verified, counts[coarse],
+                     counts[steps], time.perf_counter() - t0))
         if not (sol.converged and verified):
             print(f"route {i}: xf={scn.xf!r} yf={scn.yf!r} vf={scn.vf!r} "
                   f"alpha={scn.alpha!r} wind x{gain!r}: converged "
@@ -115,16 +152,17 @@ def route_census(n: int, seed: int, steps: int) -> None:
                   f"{sol.n_fev} rollouts, "
                   f"{sol.trajectory.clamp_count} clamps", flush=True)
     print(f"{'weight':>9s} {'steps':>5s} {'routes':>6s} {'converged':>9s} "
-          f"{'verified':>8s} {'unconverged':>11s} {'rollouts':>8s} "
-          f"{'time':>7s}")
+          f"{'verified':>8s} {'unconverged':>11s} "
+          f"{f'at {coarse}':>6s} {f'at {steps}':>6s} {'time':>7s}")
     for lo, hi in ROUTE_BANDS:
         band = [r for r in rows if lo <= r[0] < hi]
         print(f"{lo:g}-{hi:g} {steps:5d} {len(band):6d} "
               f"{sum(r[1] for r in band):9d} "
               f"{sum(r[1] and r[2] for r in band):8d} "
               f"{sum(not r[1] for r in band):11d} "
-              f"{statistics.median([r[3] for r in band] or [0]):8g} "
-              f"{sum(r[4] for r in band):6.1f}s")
+              f"{_median([r[3] for r in band]):6g} "
+              f"{_median([r[4] for r in band]):6g} "
+              f"{sum(r[5] for r in band):6.1f}s")
 
 
 def main() -> int:
@@ -147,14 +185,16 @@ def main() -> int:
     cases = [(f"{a:g}", scn.replace_alpha(a)) for a in ALPHAS]
     cases.append((f"cw {cw.alpha:g}", cw))
     print(f"{'weight':>8s} {'steps':>5s} {'closing':>8s} {'at best':>7s} "
-          f"{'rollouts':>8s} {'best cost':>16s} {'time':>7s}")
+          f"{f'at {_SEARCH_STEPS}':>6s} {'final':>6s} {'best cost':>16s} "
+          f"{'time':>7s}")
     for tag, case in cases:
         for steps in args.steps:
             t0 = time.perf_counter()
             c = census(case, steps)
             best = "-" if c["best_cost"] is None else f"{c['best_cost']:.6f}"
             print(f"{tag:>8s} {steps:5d} {c['closing']:>4d}/{c['starts']:<3d} "
-                  f"{c['at_best']:7d} {c['median_rollouts']:8g} {best:>16s} "
+                  f"{c['at_best']:7d} {c['median_coarse']:6g} "
+                  f"{c['median_final']:6g} {best:>16s} "
                   f"{time.perf_counter() - t0:6.1f}s", flush=True)
     return 0
 

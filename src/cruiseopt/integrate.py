@@ -30,11 +30,17 @@ expressions over its arc; only the adjoint's RK4 recurrence
 then computes the determinant, Mach number, envelope flags, switching
 function, Hamiltonian and Legendre-Clebsch value as array expressions.
 
-The shooting residual reads only the co-state at tf, so `terminal_costate`
-runs just the singular-arc solve and the forward sweep over the final arc.
-The shooting solve's central differences move one unknown at a time, so a
-perturbed rollout can take over the leading arcs it shares with the
-unperturbed one (`integrate_arcs(..., reuse=...)`, `shared_arcs`).
+The shooting residual reads only the co-state at tf, so `terminal_costates`
+runs just the singular-arc solve and the forward sweep over the final arc,
+for a batch of rollouts at once: the perturbed rollouts of a Jacobian.  It
+makes one `solve_costates_on_singular` call over the singular samples of
+every rollout, and one array pass of the sweep's co-state-free terms over
+the final arcs that share a sample count and a level, stacked; then each
+rollout's adjoint recurrence runs on plain floats.  Every result has the
+bits of the rollout's co-state alone, and `terminal_costate` is the batch
+of one.  The shooting solve's central differences move one unknown at a
+time, so a perturbed rollout can take over the leading arcs it shares with
+the unperturbed one (`integrate_arcs(..., reuse=...)`, `shared_arcs`).
 """
 
 from __future__ import annotations
@@ -231,28 +237,49 @@ def _costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
     Returns the co-states at the samples after the first, as tuples of
     plain floats.  A non-finite co-state raises IntegrationError with its
     time and the last finite one.
+
+    Given a stack of k arcs of n samples each, flown at the same level
+    (`t` of shape (k, n), `states` (k, n, 5), one seed co-state per arc),
+    the co-state-free terms are one array pass over all k arcs, the
+    recurrence runs arc by arc, and the result is the list of the k arcs'
+    co-states.
     """
-    x, y, v, m, chi = states.T
+    stacked = np.ndim(t) == 2
+    t = np.atleast_2d(t)
+    k, n = t.shape
+    states = np.reshape(states, (k, n, 5))
+    x, y, v, m, chi = states.reshape(-1, 5).T
     grads = ctx.wind.wind_gradients(x, y)
     wxx, wxy, wyx, wyy = grads
     fq, fp = eval_Q(ctx, x, y, v, m, chi), eval_P(ctx, v, m)
     sn, c = np.sin(chi), np.cos(chi)
     rates = np.column_stack((
         fq[0], fq[1], fq[2] + throttle * fp[2], throttle * fp[3],
-        sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy))
+        sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy)).reshape(k, n, 5)
     dt = np.diff(t)
-    mid = (0.5 * (states[:-1] + states[1:])
-           + (dt / 8.0)[:, None] * (rates[:-1] - rates[1:])).T
-    # rows of plain floats; a constant wind's gradients are scalars
+    mid = (0.5 * (states[:, :-1] + states[:, 1:])
+           + (dt / 8.0)[..., None] * (rates[:, :-1] - rates[:, 1:])
+           ).reshape(-1, 5).T
+    # rows of plain floats per arc; a constant wind's gradients are scalars
     k_sample, k_mid = (
-        np.column_stack(np.broadcast_arrays(*k)).tolist() for k in (
+        np.column_stack(np.broadcast_arrays(*co)).reshape(k, -1, 9).tolist()
+        for co in (
             costate_coefficients(ctx, v, m, chi, grads, throttle),
             costate_coefficients(ctx, *mid[2:],
                                  ctx.wind.wind_gradients(*mid[:2]), throttle)))
-    lam = tuple(map(float, lam))
+    seeds = np.reshape(lam, (k, 4)).tolist()
+    chains = [_adjoint_chain(*arc) for arc in zip(
+        t[:, 1:].tolist(), dt.tolist(), k_sample, k_mid, seeds)]
+    return chains if stacked else chains[0]
+
+
+def _adjoint_chain(t, dt, k_sample, k_mid, lam):
+    """The adjoint's RK4 recurrence of `_costate_sweep` over one arc, on
+    plain floats: `t` the sample times after the first, `dt` the steps and
+    the adjoint coefficients at the samples and the step midpoints."""
+    lam = tuple(lam)
     out = []
-    for tb, h, ka, km, kb in zip(t[1:].tolist(), dt.tolist(), k_sample,
-                                 k_mid, k_sample[1:]):
+    for tb, h, ka, km, kb in zip(t, dt, k_sample, k_mid, k_sample[1:]):
         p, q, r, u = lam
         hh, h6 = 0.5 * h, h / 6.0
         p1, q1, r1, u1 = adjoint_rate(ka, lam)
@@ -362,16 +389,11 @@ def integrate_arcs(ctx: CruiseContext, schedule: ArcSchedule, x0, alpha: float,
     )
 
 
-def _singular_costates(ctx: CruiseContext, traj: Trajectory,
-                       schedule: ArcSchedule, alpha: float):
-    """The algebraic co-state at the t1 junction sample and at each singular
-    sample, as (index of the junction sample, array of co-state rows), from
-    one solve over the arc's state columns.
-
-    Raises when the weight or the schedule leaves no co-state to
-    reconstruct, and, through the determinant guard of the solve, at an
-    ill-conditioned sample.
-    """
+def _singular_span(traj: Trajectory, schedule: ArcSchedule,
+                   alpha: float) -> tuple[int, int]:
+    """The samples that get the algebraic co-state, as (the t1 junction
+    sample, one past the last singular sample).  Raises when the weight or
+    the schedule leaves no co-state to reconstruct."""
     if alpha <= 0.0:
         raise ValidationError("co-state reconstruction requires alpha > 0")
     # Python ints: a NumPy step count would turn the sweeps' step size, and
@@ -380,21 +402,22 @@ def _singular_costates(ctx: CruiseContext, traj: Trajectory,
     # the rollout skips an empty singular arc (see `_arc_times`)
     if not (schedule.t1 < schedule.t2 and mid):
         raise ValidationError("co-state reconstruction requires a singular arc")
-    first = mid[0] - 1 if mid[0] > 0 else 0
-    x, y, v, m, chi = traj.states[first:mid[-1] + 1].T
+    return (mid[0] - 1 if mid[0] > 0 else 0), mid[-1] + 1
+
+
+def _singular_costates(ctx: CruiseContext, traj: Trajectory,
+                       schedule: ArcSchedule, alpha: float):
+    """The algebraic co-state at the t1 junction sample and at each singular
+    sample, as (index of the junction sample, array of co-state rows), from
+    one solve over the arc's state columns.
+
+    Raises as `_singular_span` does, and, through the determinant guard of
+    the solve, at an ill-conditioned sample.
+    """
+    first, stop = _singular_span(traj, schedule, alpha)
+    x, y, v, m, chi = traj.states[first:stop].T
     lam = solve_costates_on_singular(ctx, x, y, v, m, chi, alpha)
     return first, np.column_stack(lam)
-
-
-def _final_arc_costates(ctx: CruiseContext, traj: Trajectory, j: int,
-                        lam_j) -> list:
-    """Co-states at the samples after j, the last singular sample, from the
-    co-state sweep forward over the final bang arc, at the level the rollout
-    flew it; empty when the rollout skipped that arc."""
-    if not np.any(traj.arc_id == 2):
-        return []
-    return _costate_sweep(ctx, float(traj.throttle[-1]), traj.t[j:],
-                          traj.states[j:], lam_j)
 
 
 def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
@@ -417,22 +440,60 @@ def reconstruct_costates(ctx: CruiseContext, traj: Trajectory,
                                traj.states[first::-1], lams[0])
         lam[:first] = chain[::-1]
 
-    tail = _final_arc_costates(ctx, traj, last, lams[-1])
-    if tail:
-        lam[last + 1:] = tail
+    # forward sweep over the final arc, at the level the rollout flew it
+    if last + 1 < len(traj.t):
+        lam[last + 1:] = _costate_sweep(ctx, float(traj.throttle[-1]),
+                                        traj.t[last:], traj.states[last:],
+                                        lams[-1])
     traj.costates = lam
     return traj
 
 
+def terminal_costates(ctx: CruiseContext, rollouts, alpha: float) -> list:
+    """The co-state at tf of each rollout of one problem, given as
+    (schedule, trajectory) pairs, as a tuple of plain floats, bit for bit
+    as `reconstruct_costates` fills it, without the backward sweep over the
+    first arc that it does not depend on.
+
+    The rollouts go through as one batch: one `solve_costates_on_singular`
+    call over the singular-arc samples of them all, then one
+    `_costate_sweep` forward over the final arcs that share a sample count
+    and a level.  Any rollout that fails fails the batch, with the error
+    it raises alone: no singular arc, a sample under the determinant guard,
+    a non-finite co-state.
+    """
+    spans = [_singular_span(traj, sched, alpha) for sched, traj in rollouts]
+    x, y, v, m, chi = np.concatenate([
+        traj.states[a:b] for (a, b), (_, traj) in zip(spans, rollouts)]).T
+    lams = np.column_stack(solve_costates_on_singular(ctx, x, y, v, m, chi,
+                                                      alpha))
+    ends = lams[np.cumsum([b - a for a, b in spans]) - 1].tolist()
+    # the final arcs, each from its last singular sample, by sample count
+    # and the level the rollout flew them at
+    groups: dict[tuple[int, float], list] = {}
+    for i, ((_, b), (_, traj)) in enumerate(zip(spans, rollouts)):
+        if b < len(traj.t):
+            key = (len(traj.t) - b, float(traj.throttle[-1]))
+            groups.setdefault(key, []).append(
+                (i, traj.t[b - 1:], traj.states[b - 1:]))
+    for (_, level), arcs in groups.items():
+        idx, t, states = zip(*arcs)
+        seeds = [ends[i] for i in idx]
+        if len(idx) == 1:       # one arc, not a stack of one
+            chains = [_costate_sweep(ctx, level, t[0], states[0], seeds[0])]
+        else:
+            chains = _costate_sweep(ctx, level, np.stack(t),
+                                    np.stack(states), seeds)
+        for i, chain in zip(idx, chains):
+            ends[i] = chain[-1]
+    return [tuple(lam) for lam in ends]
+
+
 def terminal_costate(ctx: CruiseContext, traj: Trajectory,
                      schedule: ArcSchedule, alpha: float):
-    """The co-state at tf, bit for bit as `reconstruct_costates` fills it,
-    without the backward sweep over the first arc that it does not depend
-    on: the singular-arc solves (and their determinant guard), then the
-    forward sweep over the final arc."""
-    first, lams = _singular_costates(ctx, traj, schedule, alpha)
-    tail = _final_arc_costates(ctx, traj, first + len(lams) - 1, lams[-1])
-    return (tail or lams)[-1]
+    """The co-state at tf of one rollout: `terminal_costates` of a batch
+    of one."""
+    return terminal_costates(ctx, [(schedule, traj)], alpha)[0]
 
 
 def diagnose(ctx: CruiseContext, traj: Trajectory, alpha: float,

@@ -10,6 +10,14 @@ with the start's final arc (idle) does not close, a second solve with the
 other final arc (max throttle) starts from where the first one stopped.
 For a constant wind field the initial heading drops out of the unknowns:
 it is pinned by the endpoint geometry and the final time.
+
+The Jacobian's central differences are taken at `_SEARCH_STEPS` (20) RK4
+steps per arc, or at the solve's resolution when that is coarser, while
+trial points and the closing test run at the solve's resolution: a
+Newton-type iteration needs only an approximate Jacobian as long as its
+residual is exact (Deuflhard, *Newton Methods for Nonlinear Problems*,
+2004, ch. 2).  `Solution.n_fev`, like the `n_fev` in `solution.json`,
+counts the rollouts at every resolution.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .integrate import (
     diagnose,
     integrate_arcs,
     reconstruct_costates,
-    terminal_costate,
+    terminal_costates,
 )
 # unused here; the benchmark's tracer resolves the nlp.* spans through it
 from .direct import solve_augmented_lagrangian  # noqa: F401
@@ -58,7 +66,7 @@ class Solution:
     cost: float
     residuals: np.ndarray      # terminal (x, y, v) residuals, SI units
     converged: bool
-    n_fev: int                 # shooting rollouts, whole or partial
+    n_fev: int                 # shooting rollouts at every resolution
     start_index: int
     verification: "VerificationReport | None" = None
 
@@ -100,7 +108,10 @@ _ALPHA_ASYMPTOTIC = 1e-4
 # shut instead, which leaves max / bang switching.
 _ALPHA_COLLAPSED = 0.9
 # RK4 steps per arc of the coarse solve from a grid start, capped by the
-# final resolution: it only has to land the fine solve in its basin.
+# final resolution: it only has to land the fine solve in its basin.  Every
+# central-difference Jacobian is taken at this resolution too, or at the
+# solve's own when that is coarser: its columns agree with those at 40 and
+# 200 steps to about 1e-7 relative.
 _SEARCH_STEPS = 20
 
 
@@ -129,16 +140,20 @@ class _LMShooting:
     The Jacobian is taken by central differences at the start of a solve
     and kept up to date by secant (Broyden) updates after accepted steps;
     new central differences are taken only when a step under a secant
-    Jacobian is rejected.  A perturbed rollout of a central difference
+    Jacobian is rejected.  They are taken at `_SEARCH_STEPS` RK4 steps per
+    arc when the solve runs finer, from a rollout at the point at that
+    resolution; trial points, the closing test and the secant updates stay
+    at the solve's resolution.  A perturbed rollout of a central difference
     takes over the arcs its schedule shares with the rollout at the point:
     a t2 column re-integrates the singular and final arcs only, a tf
-    column the final arc only.
+    column the final arc only.  The perturbed rollouts get their co-states
+    at tf as one batch (`terminal_costates`).
 
     One instance shoots at one resolution with one final-arc level
     (`final_throttle`, None for idle): it decodes the scaled unknowns,
     which end in (t1, t2, tf), into schedules and counts the rollouts it
-    spends in `n_fev`, whole or partial.  Trying the other final arc is
-    another instance's solve (`_solve_start`).
+    spends in `n_fev`, whole or partial, at either resolution.  Trying the
+    other final arc is another instance's solve (`_solve_start`).
     """
 
     def __init__(self, ctx: CruiseContext, scn: Scenario, steps: int,
@@ -183,57 +198,98 @@ class _LMShooting:
         z[-3:] = t1, t2, tf
         return z
 
-    def _shoot(self, z, square: bool, base: "_Rollout | None" = None):
-        """(the scaled terminal residuals and, when `square`, the fourth
-        condition; the point's `_Rollout`), or (None, None) when the
-        schedule or its rollout fails.  `base`, the rollout of another
-        point, lends the leading arcs the two schedules share: the result
-        is the same, bit for bit, as from scratch.  Every call spends one
-        rollout, whole or partial."""
+    def _rollout(self, z, steps: int, base: "_Rollout | None" = None):
+        """The `_Rollout` of z at `steps` RK4 steps per arc, or None when
+        its schedule or its rollout fails.  `base`, the rollout of another
+        point at the same resolution, lends the leading arcs the two
+        schedules share: the result is the same, bit for bit, as from
+        scratch.  Every rollout tried counts in `n_fev`, whole or
+        partial."""
         sched = self.decode(z)
         if sched is None:
-            return None, None
+            return None
         scn = self.scn
         reuse = None if base is None else (base.schedule, base.trajectory)
         self.n_fev += 1
         try:
-            traj = integrate_arcs(self.ctx, sched, self.x0, scn.alpha,
-                                  scn.pi_min, scn.pi_max,
-                                  steps_per_arc=self.steps, reuse=reuse)
-            fin = traj.final_state
-            r = np.array([(fin[0] - scn.xf) / _POS, (fin[1] - scn.yf) / _POS,
-                          (fin[2] - scn.vf) / _SPD])
-            if not square:
-                return r, _Rollout(sched, traj)
-            if self.fourth == "pin":
-                return (np.append(r, z[-2] - z[-3] - _ORDER_MARGIN),
-                        _Rollout(sched, traj))
-            # Endpoint condition in the alpha-invariant normalized co-state
-            # mu = lam / alpha (reconstructed with unit weight):
-            # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
-            # which stays order one for every alpha and turns into the
-            # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
-            mu_m = terminal_costate(self.ctx, traj, sched, 1.0)[3]
+            return _Rollout(sched, integrate_arcs(
+                self.ctx, sched, self.x0, scn.alpha, scn.pi_min, scn.pi_max,
+                steps_per_arc=steps, reuse=reuse))
         except CruiseOptError:
+            return None
+
+    def _residuals(self, zs, rollouts, square: bool):
+        """The residual of each point of `zs` from its rollout: the scaled
+        terminal residuals and, when `square`, the fourth condition, whose
+        co-states at tf the rollouts get as one batch
+        (`terminal_costates`); None when one of them fails."""
+        scn = self.scn
+        rs = []
+        for ro in rollouts:
+            fin = ro.trajectory.final_state
+            rs.append(np.array([(fin[0] - scn.xf) / _POS,
+                                (fin[1] - scn.yf) / _POS,
+                                (fin[2] - scn.vf) / _SPD]))
+        if not square:
+            return rs
+        if self.fourth == "pin":
+            return [np.append(r, z[-2] - z[-3] - _ORDER_MARGIN)
+                    for r, z in zip(rs, zs)]
+        # Endpoint condition in the alpha-invariant normalized co-state
+        # mu = lam / alpha (reconstructed with unit weight):
+        # lam_m(tf) = alpha - 1 reads 1/mu_m(tf) = alpha/(alpha - 1),
+        # which stays order one for every alpha and turns into the
+        # degenerate-system condition 1/mu_m(tf) = 0 at alpha = 0.
+        try:
+            lams = terminal_costates(self.ctx, rollouts, 1.0)
+        except CruiseOptError:
+            return None
+        target = scn.alpha / (scn.alpha - 1.0)
+        out = []
+        for r, lam in zip(rs, lams):
+            mu_m = lam[3]
+            if not math.isfinite(mu_m) or mu_m == 0.0:
+                return None
+            out.append(np.append(r, 1.0 / mu_m - target))
+        return out
+
+    def _shoot(self, z, square: bool, base: "_Rollout | None" = None):
+        """(the residual of z, as `_residuals` gives it; the point's
+        `_Rollout` at the solve's resolution), or (None, None) when the
+        schedule, its rollout or its residual fails.  `base` is as for
+        `_rollout`."""
+        rollout = self._rollout(z, self.steps, base)
+        if rollout is None:
             return None, None
-        if not np.isfinite(mu_m) or mu_m == 0.0:
-            return None, None
-        return (np.append(r, 1.0 / mu_m - scn.alpha / (scn.alpha - 1.0)),
-                _Rollout(sched, traj))
+        r = self._residuals([z], [rollout], square)
+        return (None, None) if r is None else (r[0], rollout)
 
     def _jacobian(self, z, square: bool, rollout) -> np.ndarray | None:
-        """Central differences; None when a perturbed rollout fails.  Each
-        perturbed rollout takes over the arcs it shares with `rollout`, the
-        one at z: a t2 column keeps the first arc, a tf column also the
-        singular arc."""
-        cols = []
-        for dz in _FD_STEP * np.eye(len(z)):
-            rp = self._shoot(z + dz, square, rollout)[0]
-            rm = self._shoot(z - dz, square, rollout)[0]
-            if rp is None or rm is None:
+        """Central differences at `_SEARCH_STEPS` RK4 steps per arc, or at
+        the solve's own resolution when that is not finer; None when a
+        perturbed rollout or its residual fails.  A coarser Jacobian spends
+        one rollout at z, which then stands in for `rollout`, the one at z
+        at the solve's resolution.  Each perturbed rollout takes over the
+        arcs it shares with it: a t2 column keeps the first arc, a tf column
+        also the singular arc.  The perturbed rollouts get their residuals
+        as one batch."""
+        steps = min(self.steps, _SEARCH_STEPS)
+        if steps < self.steps:
+            rollout = self._rollout(z, steps)
+            if rollout is None:
                 return None
-            cols.append((rp - rm) / (2.0 * _FD_STEP))
-        return np.column_stack(cols)
+        points, rollouts = [], []
+        for dz in _FD_STEP * np.eye(len(z)):
+            pair = [z + dz, z - dz]
+            rollouts += [self._rollout(zp, steps, rollout) for zp in pair]
+            if rollouts[-2] is None or rollouts[-1] is None:
+                return None
+            points += pair
+        rs = self._residuals(points, rollouts, square)
+        if rs is None:
+            return None
+        return np.column_stack([(rp - rm) / (2.0 * _FD_STEP)
+                                for rp, rm in zip(rs[::2], rs[1::2])])
 
     def _levenberg_marquardt(self, z, square: bool):
         """Damped least-squares steps with the gain-ratio damping update
@@ -398,7 +454,9 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     weight in a sweep) is tried first, at `options.steps` only, and is
     recorded as start -1.  When no start closes, the feasible result of
     lowest cost is returned with `converged=False` (the least infeasible
-    one when none is feasible).
+    one when none is feasible).  Every Jacobian is taken at
+    `_SEARCH_STEPS` RK4 steps per arc (see `_LMShooting`), and `n_fev`
+    counts the rollouts of every start tried, at every resolution.
 
     Below `_ALPHA_ASYMPTOTIC` the endpoint co-state equation is driven only
     best-effort, so `converged` then means only that the terminal

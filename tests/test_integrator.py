@@ -12,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import integrate_oracle
-from cruiseopt import integrate
+from cruiseopt import integrate, solver
 from cruiseopt.atmosphere import calibrated_airspeed, check_envelope
 from cruiseopt.errors import (CruiseOptError, IllConditionedSystemError,
                               IntegrationError, ValidationError)
 from cruiseopt.integrate import (ArcSchedule, Trajectory, _Rhs, diagnose,
                                  integrate_arcs, reconstruct_costates,
-                                 terminal_costate)
+                                 terminal_costate, terminal_costates)
 from cruiseopt.pmp import (TIME_SCALE, evaluate_feedback,
                            solve_costates_on_singular)
 from cruiseopt.scenario import (default_constant_wind_scenario_path,
@@ -921,3 +921,185 @@ def test_perturbed_rollouts_that_reuse_arcs_match_from_scratch(monkeypatch,
     # a final arc at another bang level is not shared
     assert integrate.shared_arcs(sched, replace(
         sched, final_throttle=None if sched.final_throttle else 1.0)) == 2
+
+
+def _central_differences(shooting, z):
+    """Central differences of the residual at the shooting solve's own
+    resolution, one column per unknown."""
+    cols = []
+    for dz in solver._FD_STEP * np.eye(len(z)):
+        rp, rm = (shooting._shoot(zp, True)[0] for zp in (z + dz, z - dz))
+        cols.append((rp - rm) / (2.0 * solver._FD_STEP))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("steps", [40, 200])
+@pytest.mark.parametrize("tag", ["0.4", "0.1", "cw"])
+def test_coarse_jacobian_is_close_to_the_fine_one(monkeypatch, tag, steps):
+    """A shooting solve finer than `_SEARCH_STEPS` takes its central
+    differences from a rollout at the point and the perturbed rollouts,
+    all at 20 RK4 steps per arc.  Each column of that Jacobian agrees to
+    1e-6 relative (1.1e-7 measured) with central differences of the
+    residual at the solve's own resolution, at the committed optima with
+    an idle and with a max-throttle final arc, and under constant wind."""
+    wind, alpha, sched = COMMITTED[tag]
+    scn = SCENARIOS[wind]
+    shooting = _LMShooting(make_context(scn), scn.replace_alpha(alpha),
+                           steps, final_throttle=sched.final_throttle)
+    z = _decision(sched, wind == "constant")
+    rollout = shooting._shoot(z, True)[1]
+    resolutions = []
+    rollout_fn = solver.integrate_arcs
+
+    def counted(*args, **kwargs):
+        resolutions.append(kwargs["steps_per_arc"])
+        return rollout_fn(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "integrate_arcs", counted)
+    n_fev = shooting.n_fev
+    jac = shooting._jacobian(z, True, rollout)
+    monkeypatch.undo()
+    assert resolutions == [solver._SEARCH_STEPS] * (2 * len(z) + 1)
+    assert shooting.n_fev - n_fev == len(resolutions)
+    ref = _central_differences(shooting, z)
+    err = np.abs(jac - ref).max(axis=0) / np.abs(ref).max(axis=0)
+    assert np.all(err <= 1e-6), err
+
+
+@pytest.mark.parametrize("steps", [20, 40])
+@pytest.mark.parametrize("tag", ["0.4", "0.1", "1e-06", "cw"])
+def test_batched_terminal_costates_match_the_per_rollout_oracle(tag, steps):
+    """The perturbed rollouts of a Jacobian, each reusing the arcs it
+    shares with the rollout at the point, get their co-states at tf as one
+    batch, each with the bits of the per-rollout oracle.  At 20 RK4 steps
+    per arc the t1 column's backward point at the alpha = 1e-6 optimum
+    fails its rollout; the batch holds the rest."""
+    wind, alpha, sched = COMMITTED[tag]
+    scn = SCENARIOS[wind]
+    ctx = make_context(scn)
+    shooting = _LMShooting(ctx, scn.replace_alpha(alpha), steps,
+                           final_throttle=sched.final_throttle)
+    z = _decision(sched, wind == "constant")
+    base = shooting._shoot(z, True)[1]
+    rollouts = [shooting._rollout(z + sign * dz, steps, base)
+                for dz in solver._FD_STEP * np.eye(len(z))
+                for sign in (1.0, -1.0)]
+    failed = [ro is None for ro in rollouts]
+    assert failed == [tag == "1e-06" and steps == 20 and i == 3
+                      for i in range(2 * len(z))]
+    rollouts = [ro for ro in rollouts if ro is not None]
+    lams = terminal_costates(ctx, rollouts, 1.0)
+    assert len(lams) == len(rollouts)
+    for (sched_p, traj), lam in zip(rollouts, lams):
+        assert type(lam) is tuple and all(type(v) is float for v in lam)
+        assert _bits(lam) == _bits(integrate_oracle.terminal_costate(
+            ctx, traj, sched_p, 1.0))
+
+
+@pytest.mark.parametrize("tag", ["0.4", "0.1", "cw"])
+def test_jacobian_takes_its_costates_in_one_batch(monkeypatch, tag):
+    """A Jacobian's perturbed rollouts go through `terminal_costates` as
+    one batch, with one co-state solve over the singular samples and t1
+    junctions of them all, and the Jacobian comes back C-contiguous, as
+    `np.column_stack` builds it: a transposed array rounds `J @ s`
+    differently."""
+    wind, alpha, sched = COMMITTED[tag]
+    scn = SCENARIOS[wind]
+    shooting = _LMShooting(make_context(scn), scn.replace_alpha(alpha), 40,
+                           final_throttle=sched.final_throttle)
+    z = _decision(sched, wind == "constant")
+    rollout = shooting._shoot(z, True)[1]
+    batches, solves = [], []
+    batch = solver.terminal_costates
+    solve = integrate.solve_costates_on_singular
+
+    def batch_spy(ctx, rollouts, alpha):
+        batches.append(len(rollouts))
+        return batch(ctx, rollouts, alpha)
+
+    def solve_spy(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "terminal_costates", batch_spy)
+    monkeypatch.setattr(integrate, "solve_costates_on_singular", solve_spy)
+    jac = shooting._jacobian(z, True, rollout)
+    assert jac is not None and jac.flags.c_contiguous
+    assert batches == [2 * len(z)]
+    assert solves == [2 * len(z) * (solver._SEARCH_STEPS + 1)]
+
+
+def test_batched_terminal_costates_mix_skipped_and_full_final_arcs():
+    """One batch of rollouts whose final arcs are skipped (tf = t2), or
+    flown idle or at max throttle, each over one or another number of
+    samples, so that final arcs of one sample count but two levels meet in
+    one batch: each co-state at tf has the bits of the per-rollout oracle
+    and of `terminal_costate` of that rollout alone."""
+    _, alpha, sched = COMMITTED["0.4"]
+    max_arc = replace(sched, tf=sched.t2 + 30.0, final_throttle=1.0)
+    schedules = [sched, replace(sched, tf=sched.t2),
+                 replace(sched, tf=sched.tf + 1.0),
+                 replace(sched, t2=sched.t2 - 1.0, tf=sched.t2 - 1.0),
+                 max_arc, max_arc]
+    rollouts = []
+    for steps, s in zip((40, 40, 20, 40, 40, 20), schedules):
+        rollouts.append((s, integrate_arcs(CTX, s, X0, alpha, SCN.pi_min,
+                                           SCN.pi_max, steps_per_arc=steps)))
+    assert [np.any(traj.arc_id == 2) for _, traj in rollouts] == [
+        True, False, True, False, True, True]
+    lams = terminal_costates(CTX, rollouts, 1.0)
+    for (s, traj), lam in zip(rollouts, lams):
+        ref = _bits(integrate_oracle.terminal_costate(CTX, traj, s, 1.0))
+        assert _bits(lam) == ref
+        assert _bits(terminal_costate(CTX, traj, s, 1.0)) == ref
+
+
+@pytest.mark.parametrize("fault", ["ill-conditioned", "non-finite"])
+def test_a_failing_column_fails_the_batch_and_the_jacobian(monkeypatch,
+                                                           fault):
+    """One perturbed rollout of a Jacobian with a singular sample under the
+    determinant guard, or a NaN final-arc sample that makes its co-state
+    sweep non-finite: the batch raises the error type the oracle raises
+    for that rollout alone, and `_jacobian` returns None."""
+    _, alpha, sched = COMMITTED["0.4"]
+    steps = solver._SEARCH_STEPS
+    shooting = _LMShooting(CTX, SCN.replace_alpha(alpha), steps, None)
+    z = _decision(sched)
+    rollout = shooting._shoot(z, True)[1]
+    rollouts = []
+    rollout_fn = solver.integrate_arcs
+
+    def corrupting(*args, **kwargs):
+        traj = rollout_fn(*args, **kwargs)
+        if len(rollouts) == 2:      # the t1 column's forward point
+            states = traj.states.copy()
+            if fault == "ill-conditioned":
+                # |det| just below EPS_DET on the shipped field
+                states[steps + 5] = (5e5, 2.5e5, 168.54782764700985,
+                                     40000.0, 0.65)
+            else:
+                states[-3] = np.nan
+            traj = replace(traj, states=states)
+        rollouts.append((args[1], traj))
+        return traj
+
+    errors = []
+    batch = solver.terminal_costates
+
+    def spy(*args):
+        try:
+            return batch(*args)
+        except CruiseOptError as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(solver, "integrate_arcs", corrupting)
+    monkeypatch.setattr(solver, "terminal_costates", spy)
+    assert shooting._jacobian(z, True, rollout) is None
+    assert len(rollouts) == 2 * len(z)
+    want = (IllConditionedSystemError if fault == "ill-conditioned"
+            else IntegrationError)
+    with pytest.raises(want):
+        integrate_oracle.terminal_costate(CTX, rollouts[2][1],
+                                          rollouts[2][0], 1.0)
+    assert [type(e) for e in errors] == [want]

@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -319,22 +320,34 @@ def test_warm_start_short_circuits_multistart(monkeypatch, scenario,
     assert sol.n_fev <= 1   # the warm start closes the system at once
 
 
-def test_collapsed_final_arc_switches_structure_early(scenario, sol_02):
+def test_collapsed_final_arc_switches_structure_early(monkeypatch, scenario,
+                                                     sol_02):
     """From the idle alpha = 0.2 schedule the alpha = 0.1 optimum needs a
     max-throttle final arc.  The idle structure collapses its final arc
     onto the ordering margin and stalls there; the shooting solve drops it
-    then instead of spending its whole trial budget (197 rollouts); with
-    secant Jacobians and perturbed rollouts that reuse their unchanged
-    arcs, the solve spends 50 rollouts (59 with a central-difference
-    Jacobian after every accepted step)."""
+    then instead of spending its whole trial budget (197 rollouts).  With
+    secant Jacobians, each taken at 20 RK4 steps per arc from a rollout at
+    the point and eight perturbed ones that reuse its unchanged arcs, the
+    solve spends 18 rollouts at 40 steps per arc and 36 at 20, 54 in
+    all."""
+    steps = Counter()
+
+    def counted(*args, **kwargs):
+        steps[kwargs["steps_per_arc"]] += 1
+        return integrate_arcs(*args, **kwargs)
+
     assert sol_02.schedule.final_throttle is None
+    monkeypatch.setattr(solver, "integrate_arcs", counted)
     sol = solve_indirect(scenario.replace_alpha(0.1), SolverOptions(steps=40),
                          warm_start=sol_02.schedule)
     assert sol.converged
     assert sol.schedule.final_throttle == scenario.pi_max
     # the continuation chain's cost at 40 steps per arc
     assert sol.cost == pytest.approx(-47626.2379829, rel=1e-6)
-    assert sol.n_fev <= 50
+    # Solution.n_fev counts the rollouts at every resolution
+    assert sol.n_fev == sum(steps.values())
+    assert set(steps) == {solver._SEARCH_STEPS, 40}
+    assert steps[40] <= 18 and steps[solver._SEARCH_STEPS] <= 36
 
 
 def test_sweep_returns_input_order_and_growing_bang_arc(scenario):
