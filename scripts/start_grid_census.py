@@ -50,7 +50,7 @@ from cruiseopt.solver import (_SEARCH_STEPS, SolverOptions, _realized,
                               verify_solution)
 from cruiseopt.wind import ConstantWind
 
-ALPHAS = (0.0, 0.001, 0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.8, 0.9, 1.0)
+ALPHAS = (0.0, 1e-6, 0.001, 0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.8, 0.9, 1.0)
 COST_RTOL = 1e-6
 # the cost-weight bands of the random-route census, [low, high)
 ROUTE_BANDS = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.7))

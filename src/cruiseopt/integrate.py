@@ -9,13 +9,14 @@ integrated independently with endpoints aligned to the switches and no event
 detection is needed.
 
 One RK4 stepper and one right-hand side serve every arc.  The stepper works
-on plain floats with each stage point and the update written out per
-component, in the operation order of the generic tuple form it replaced, so
-results are bit-identical to it.  Each RK4 stage makes one fused lookup of
-the wind and its gradients (`wind_and_gradients`), which feeds the
-dynamics, the heading rate and the singular feedback.  A rollout records
-states and throttles only: each sample holds the throttle of the step it
-starts, on the singular arc the clamped feedback of that step's first stage.
+on plain floats with its stages and update written out per component, and
+passes the right-hand side five floats, in the operation order of the
+generic tuple form it replaced, so results are bit-identical to it.  Each
+stage makes one fused lookup of the wind and its gradients
+(`wind_and_gradients`), which feeds the dynamics, the heading rate and the
+singular feedback.  A rollout records states and throttles only: each
+sample holds the throttle of the step it starts, on the singular arc the
+clamped feedback of that step's first stage.
 
 After a rollout the closed forms run once per arc on NumPy arrays, not once
 per sample.  The algebraic co-state on the singular arc is one
@@ -24,8 +25,8 @@ co-state sweeps over the bang arcs, which integrate the adjoint equation
 alone along the stored states, backward over the first arc and forward
 over the last, so no state is integrated twice or backward.  What a sweep
 needs besides the co-state (`pmp.costate_coefficients`) is array
-expressions over its arc; only the adjoint's RK4 recurrence
-(`pmp.adjoint_rate`) loops on plain floats.  The diagnostics pass
+expressions over its arc; only the adjoint's RK4 recurrence, its stage
+rates written out, loops on plain floats.  The diagnostics pass
 (`diagnose`) evaluates the feedback at the singular arc's last sample only,
 then computes the determinant, Mach number, envelope flags, switching
 function, Hamiltonian and Legendre-Clebsch value as array expressions.
@@ -54,7 +55,6 @@ from .atmosphere import check_envelope
 from .dynamics import CruiseContext, eval_P, eval_Q
 from .errors import IntegrationError, ValidationError
 from .pmp import (
-    adjoint_rate,
     costate_coefficients,
     evaluate_feedback,
     hamiltonian,
@@ -155,8 +155,7 @@ class _Rhs:
         self._consts = (ctx.qs_coeff, ctx.ind_coeff, ctx.T_max,
                         ctx.model.C_s1, ctx.model.C_s2)
 
-    def __call__(self, s):
-        x, y, v, m, chi = s
+    def __call__(self, x, y, v, m, chi):
         wg = self._wind(x, y)
         pi = self.throttle
         if self.alpha is not None:
@@ -176,31 +175,14 @@ class _Rhs:
                 sn * sn * wyx + sn * c * (wxx - wyy) - c * c * wxy)
 
 
-def _step5(rhs, s, k1, h, hh, h6):
-    """One classical RK4 step of the state (x, y, v, m, chi as x, y, v, m,
-    c) from its first-stage rate k1, written out; x2 is the x rate at the
-    second stage."""
-    x, y, v, m, c = s
-    x1, y1, v1, m1, c1 = k1
-    x2, y2, v2, m2, c2 = rhs((x + hh * x1, y + hh * y1, v + hh * v1,
-                              m + hh * m1, c + hh * c1))
-    x3, y3, v3, m3, c3 = rhs((x + hh * x2, y + hh * y2, v + hh * v2,
-                              m + hh * m2, c + hh * c2))
-    x4, y4, v4, m4, c4 = rhs((x + h * x3, y + h * y3, v + h * v3,
-                              m + h * m3, c + h * c3))
-    return (x + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-            y + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            v + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
-            m + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
-            c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
-
-
 def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
     """Classical RK4 with n_steps fixed steps from t0 to t1 on the state, as
     plain floats: the state after every step, and `rhs.throttle` at the
     first stage of every step, which is the throttle at the state the step
-    starts from.  A failing right-hand side or a non-finite or stalled
-    state raises IntegrationError with the last good state.
+    starts from.  Stages are written out per component (x, y, v, m, chi as
+    x, y, v, m, c; x2 is the x rate at the second stage).  A failing
+    right-hand side or a non-finite or stalled state raises
+    IntegrationError with the last good state.
     """
     s = tuple(map(float, s0))
     call = rhs.__call__     # bound once, not looked up on the type per stage
@@ -209,12 +191,23 @@ def _rk4(rhs, s0, t0: float, t1: float, n_steps: int):
     isfinite = math.isfinite
     states, throttles = [], []
     for k in range(n_steps):
+        x, y, v, m, c = s
         try:
-            k1 = call(s)
+            x1, y1, v1, m1, c1 = call(x, y, v, m, c)
             throttles.append(rhs.throttle)
-            s_new = _step5(call, s, k1, h, hh, h6)
+            x2, y2, v2, m2, c2 = call(x + hh * x1, y + hh * y1, v + hh * v1,
+                                      m + hh * m1, c + hh * c1)
+            x3, y3, v3, m3, c3 = call(x + hh * x2, y + hh * y2, v + hh * v2,
+                                      m + hh * m2, c + hh * c2)
+            x4, y4, v4, m4, c4 = call(x + h * x3, y + h * y3, v + h * v3,
+                                      m + h * m3, c + h * c3)
         except Exception as exc:
             raise IntegrationError(t0 + k * h, str(exc), last_state=s) from exc
+        s_new = (x + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+                 y + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+                 v + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
+                 m + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
+                 c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
         if not (s_new[2] > 1.0 and all(map(isfinite, s_new))):
             raise IntegrationError(t0 + k * h + h,
                                    "non-finite or stalled state",
@@ -276,27 +269,37 @@ def _costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
 def _adjoint_chain(t, dt, k_sample, k_mid, lam):
     """The adjoint's RK4 recurrence of `_costate_sweep` over one arc, on
     plain floats: `t` the sample times after the first, `dt` the steps and
-    the adjoint coefficients at the samples and the step midpoints."""
-    lam = tuple(lam)
+    the adjoint coefficients at the samples and the step midpoints.  Each
+    stage's rate is written out from the nine coefficients of its point
+    (wind gradients xx, xy, yx, yy, cosine, sine, vv, vm, mm), suffixed a
+    at a step's first sample, m at its midpoint, b at its last sample."""
+    p, q, r, u = lam
     out = []
     for tb, h, ka, km, kb in zip(t, dt, k_sample, k_mid, k_sample[1:]):
-        p, q, r, u = lam
+        xxa, xya, yxa, yya, ca, sa, vva, vma, mma = ka
+        xxm, xym, yxm, yym, cm, sm, vvm, vmm, mmm = km
+        xxb, xyb, yxb, yyb, cb, sb, vvb, vmb, mmb = kb
         hh, h6 = 0.5 * h, h / 6.0
-        p1, q1, r1, u1 = adjoint_rate(ka, lam)
-        p2, q2, r2, u2 = adjoint_rate(km, (
-            p + hh * p1, q + hh * q1, r + hh * r1, u + hh * u1))
-        p3, q3, r3, u3 = adjoint_rate(km, (
-            p + hh * p2, q + hh * q2, r + hh * r2, u + hh * u2))
-        p4, q4, r4, u4 = adjoint_rate(kb, (
-            p + h * p3, q + h * q3, r + h * r3, u + h * u3))
+        p1, q1 = -(p * xxa + q * yxa), -(p * xya + q * yya)
+        r1, u1 = -(p * ca + q * sa + r * vva + u * vma), -(r * mma)
+        lx, ly, lv, lm = p + hh * p1, q + hh * q1, r + hh * r1, u + hh * u1
+        p2, q2 = -(lx * xxm + ly * yxm), -(lx * xym + ly * yym)
+        r2, u2 = -(lx * cm + ly * sm + lv * vvm + lm * vmm), -(lv * mmm)
+        lx, ly, lv, lm = p + hh * p2, q + hh * q2, r + hh * r2, u + hh * u2
+        p3, q3 = -(lx * xxm + ly * yxm), -(lx * xym + ly * yym)
+        r3, u3 = -(lx * cm + ly * sm + lv * vvm + lm * vmm), -(lv * mmm)
+        lx, ly, lv, lm = p + h * p3, q + h * q3, r + h * r3, u + h * u3
+        p4, q4 = -(lx * xxb + ly * yxb), -(lx * xyb + ly * yyb)
+        r4, u4 = -(lx * cb + ly * sb + lv * vvb + lm * vmb), -(lv * mmb)
         new = (p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
                q + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
                r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
                u + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4))
         if not all(map(math.isfinite, new)):
-            raise IntegrationError(tb, "non-finite co-state", last_state=lam)
-        lam = new
-        out.append(lam)
+            raise IntegrationError(tb, "non-finite co-state",
+                                   last_state=(p, q, r, u))
+        p, q, r, u = new
+        out.append(new)
     return out
 
 

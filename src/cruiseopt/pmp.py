@@ -70,7 +70,7 @@ def costate_coefficients(ctx: CruiseContext, v, m, chi, grads,
                          throttle: float):
     """The entries of -(dQ/dX + pi dP/dX)^T at states, written out from
     the sparse Jacobians, which the adjoint equation d lambda / dt =
-    -(dQ/dX + pi dP/dX)^T lambda applies to the co-state (`adjoint_rate`):
+    -(dQ/dX + pi dP/dX)^T lambda applies to the co-state:
     the four wind gradients, the heading's cosine and sine, the speed row's
     drag slope and fuel-flow term, and the mass row's drag and thrust terms.
     The drag slope's cube is `np.float_power`, which rounds as libm's `pow`
@@ -83,17 +83,6 @@ def costate_coefficients(ctx: CruiseContext, v, m, chi, grads,
             throttle * (-ctx.cs_slope * ctx.T_max),
             (-d_m / m + ctx.drag(m, v) / (m * m))
             + throttle * (-ctx.T_max / (m * m)))
-
-
-def adjoint_rate(coeffs, lam):
-    """d lambda / dt from the `costate_coefficients` of a state, so that
-    RK4 stages at one state share them."""
-    wxx, wxy, wyx, wyy, c, s, v_v, v_m, m_m = coeffs
-    lx, ly, lv, lm = lam
-    return (-(lx * wxx + ly * wyx),
-            -(lx * wxy + ly * wyy),
-            -(lx * c + ly * s + lv * v_v + lm * v_m),
-            -(lv * m_m))
 
 
 def switching_function(ctx: CruiseContext, v: float, m: float, lam) -> float:

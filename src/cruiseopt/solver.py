@@ -9,7 +9,10 @@ structure fixed, the level of the final bang arc included.  When the solve
 with the start's final arc (idle) does not close, a second solve with the
 other final arc (max throttle) starts from where the first one stopped.
 For a constant wind field the initial heading drops out of the unknowns:
-it is pinned by the endpoint geometry and the final time.
+it is pinned by the endpoint geometry and the final time.  At zero cost
+weight only the terminal conditions are solved and no co-state is computed:
+closing the co-state condition there would take the determinant at t2 below
+the guard of `pmp.solve_costates_on_singular`.
 
 The Jacobian's central differences are taken at `_SEARCH_STEPS` (20) RK4
 steps per arc, or at the solve's resolution when that is coarser, while
@@ -100,8 +103,8 @@ _LM_LAMBDA0 = 1e-6          # initial damping, relative to diag(J^T J)
 _STALL_RATIO = 0.98
 # Below this cost weight the optimum sits against the degenerate co-state
 # manifold (the mass co-state normalization saturates the determinant
-# guard), so the endpoint co-state equation is driven best-effort and a
-# feasible result is accepted: the asymptotic regime.
+# guard): the endpoint co-state equation is driven best-effort after
+# feasibility, the asymptotic regime, and at zero weight not at all.
 _ALPHA_ASYMPTOTIC = 1e-4
 # From this cost weight up the singular arc collapses and the co-state
 # equation closes from no start; the fourth condition pins the singular arc
@@ -131,23 +134,20 @@ class _LMShooting:
     weight fixes this fourth condition once, at construction: in the
     asymptotic regime the co-state equation is driven only after a
     least-norm projection onto the terminal-condition manifold (the
-    feasibility-only system is underdetermined); from `_ALPHA_COLLAPSED` up
-    it is replaced by the collapsed-singular-arc condition.  Under a
-    constant wind the heading is pinned by the endpoint geometry and tf,
-    which makes the x and y residuals collinear: the fourth condition still
-    supplies the missing along-track one.
+    feasibility-only system is underdetermined), and at zero weight it is
+    dropped (see `solve`); from `_ALPHA_COLLAPSED` up it is replaced by the
+    collapsed-singular-arc condition.  Under a constant wind the heading is
+    pinned by the endpoint geometry and tf, which makes the x and y
+    residuals collinear: the fourth condition still supplies the missing
+    along-track one.
 
-    The Jacobian is taken by central differences at the start of a solve
-    and kept up to date by secant (Broyden) updates after accepted steps;
-    new central differences are taken only when a step under a secant
-    Jacobian is rejected.  They are taken at `_SEARCH_STEPS` RK4 steps per
-    arc when the solve runs finer, from a rollout at the point at that
-    resolution; trial points, the closing test and the secant updates stay
-    at the solve's resolution.  A perturbed rollout of a central difference
-    takes over the arcs its schedule shares with the rollout at the point:
-    a t2 column re-integrates the singular and final arcs only, a tf
-    column the final arc only.  The perturbed rollouts get their co-states
-    at tf as one batch (`terminal_costates`).
+    The Jacobian is taken by central differences (`_jacobian`) at the
+    start of a solve and kept up to date by secant (Broyden) updates after
+    accepted steps; new central differences are taken only when a step
+    under a secant Jacobian is rejected.  They are taken at
+    `_SEARCH_STEPS` RK4 steps per arc when the solve runs finer; trial
+    points, the closing test and the secant updates stay at the solve's
+    resolution.
 
     One instance shoots at one resolution with one final-arc level
     (`final_throttle`, None for idle): it decodes the scaled unknowns,
@@ -165,9 +165,10 @@ class _LMShooting:
         self.constant_wind = isinstance(scn.wind, ConstantWind)
         self.x0 = (scn.x0, scn.y0, scn.v0, scn.m0)
         self.n_fev = 0              # rollouts spent
-        # the fourth condition: the collapsed singular arc pinned shut, the
-        # co-state equation after feasibility, or the co-state equation
+        # the fourth condition: the collapsed singular arc pinned shut,
+        # none, the co-state equation after feasibility, or that equation
         self.fourth = ("pin" if scn.alpha >= _ALPHA_COLLAPSED
+                       else "none" if scn.alpha == 0.0
                        else "asymptotic" if scn.alpha < _ALPHA_ASYMPTOTIC
                        else "costate")
 
@@ -264,18 +265,19 @@ class _LMShooting:
         r = self._residuals([z], [rollout], square)
         return (None, None) if r is None else (r[0], rollout)
 
-    def _jacobian(self, z, square: bool, rollout) -> np.ndarray | None:
+    def _jacobian(self, z, square: bool, rollout, search=None):
         """Central differences at `_SEARCH_STEPS` RK4 steps per arc, or at
         the solve's own resolution when that is not finer; None when a
         perturbed rollout or its residual fails.  A coarser Jacobian spends
         one rollout at z, which then stands in for `rollout`, the one at z
-        at the solve's resolution.  Each perturbed rollout takes over the
-        arcs it shares with it: a t2 column keeps the first arc, a tf column
-        also the singular arc.  The perturbed rollouts get their residuals
-        as one batch."""
+        at the solve's resolution, unless `search` is already that rollout.
+        Each perturbed rollout takes over the arcs it shares with it: a t2
+        column keeps the first arc, a tf column also the singular arc.  The
+        perturbed rollouts get their co-states at tf as one batch."""
         steps = min(self.steps, _SEARCH_STEPS)
         if steps < self.steps:
-            rollout = self._rollout(z, steps)
+            same = search is not None and search.schedule == rollout.schedule
+            rollout = search if same else self._rollout(z, steps)
             if rollout is None:
                 return None
         points, rollouts = [], []
@@ -291,7 +293,7 @@ class _LMShooting:
         return np.column_stack([(rp - rm) / (2.0 * _FD_STEP)
                                 for rp, rm in zip(rs[::2], rs[1::2])])
 
-    def _levenberg_marquardt(self, z, square: bool):
+    def _levenberg_marquardt(self, z, square: bool, search=None):
         """Damped least-squares steps with the gain-ratio damping update
         of Nielsen (IMM-REP-1999-05) and the scaling D = diag(J^T J) of
         Moré (1978), taken from the last central-difference Jacobian.
@@ -318,7 +320,7 @@ class _LMShooting:
             if _closed(r):
                 break
             if jac is None:
-                jac = self._jacobian(z, square, rollout)
+                jac = self._jacobian(z, square, rollout, search)
                 if jac is None:
                     break
                 scale = np.sqrt(np.sum(jac * jac, axis=0))
@@ -349,20 +351,23 @@ class _LMShooting:
                 nu *= 2.0
         return z, r, rollout
 
-    def solve(self, z0):
+    def solve(self, z0, search: "_Rollout | None" = None):
         """Solve from z0; returns (z, whether the system closed, the
-        `_Rollout` at z or None when it failed).  In the asymptotic regime
-        the terminal conditions are closed first and the co-state equation
-        is then driven from there best-effort: the system counts as closed
-        when the terminal conditions are."""
+        `_Rollout` at z or None when it failed); `search`, a rollout at
+        `_SEARCH_STEPS`, serves a Jacobian at a point of its schedule.  In
+        the asymptotic regime the terminal conditions are closed first and
+        the co-state equation is then driven from there best-effort: the
+        system counts as closed when the terminal conditions are.  At zero
+        weight the solve ends there: the row 1/mu_m(tf), about 1e3 times the
+        determinant at t2, cannot reach `_COSTATE_TOL` above `pmp.EPS_DET`."""
         z = self._nudge(z0)
-        if self.fourth != "asymptotic":
-            z, r, rollout = self._levenberg_marquardt(z, True)
+        if self.fourth in ("pin", "costate"):
+            z, r, rollout = self._levenberg_marquardt(z, True, search)
             return z, r is not None and _closed(r), rollout
-        z, r, rollout = self._levenberg_marquardt(z, False)
-        if r is None:
-            return z, False, None
-        z_opt, r_opt, rollout_opt = self._levenberg_marquardt(z, True)
+        z, r, rollout = self._levenberg_marquardt(z, False, search)
+        if r is None or self.fourth == "none":
+            return z, r is not None and _closed(r), rollout
+        z_opt, r_opt, rollout_opt = self._levenberg_marquardt(z, True, search)
         if r_opt is not None and _closed(r_opt[:3]):
             z, r, rollout = z_opt, r_opt, rollout_opt
         return z, _closed(r[:3]), rollout
@@ -418,13 +423,15 @@ def _solve_start(ctx: CruiseContext, scn: Scenario, z, final_throttle,
     closes: a collapsing idle final arc means the terminal speed target sits
     above the singular-arc speed and the last arc must accelerate.  A solve
     gives up early once its final arc stalls at the ordering margin (see
-    `_LMShooting._levenberg_marquardt`).  Returns (the last kept solve's
-    schedule, whether every resolution closed, the rollouts spent, its
-    `_Rollout` at the last resolution tried or None)."""
-    n_fev = 0
+    `_LMShooting._levenberg_marquardt`).  A solve at `_SEARCH_STEPS` hands
+    its last rollout to the next resolution's first Jacobian, which would
+    otherwise roll the same schedule out again.  Returns (the last kept
+    solve's schedule, whether every resolution closed, the rollouts spent,
+    its `_Rollout` at the last resolution tried or None)."""
+    n_fev, search = 0, None
     for steps in resolutions:
         shooting = _LMShooting(ctx, scn, steps, final_throttle)
-        z, closed, rollout = shooting.solve(z)
+        z, closed, rollout = shooting.solve(z, search)
         n_fev += shooting.n_fev
         if not closed:
             other = scn.pi_max if final_throttle is None else None
@@ -437,6 +444,7 @@ def _solve_start(ctx: CruiseContext, scn: Scenario, z, final_throttle,
                 break
             shooting, z, final_throttle = retry, z_retry, other
             rollout = rollout_retry
+        search = rollout if steps == _SEARCH_STEPS else None
     return shooting.decode(z), closed, n_fev, rollout
 
 
@@ -454,13 +462,13 @@ def solve_indirect(scn: Scenario, options: SolverOptions | None = None,
     weight in a sweep) is tried first, at `options.steps` only, and is
     recorded as start -1.  When no start closes, the feasible result of
     lowest cost is returned with `converged=False` (the least infeasible
-    one when none is feasible).  Every Jacobian is taken at
-    `_SEARCH_STEPS` RK4 steps per arc (see `_LMShooting`), and `n_fev`
-    counts the rollouts of every start tried, at every resolution.
+    one when none is feasible).  `n_fev` counts the rollouts of every
+    start tried, at every resolution (see `_LMShooting`).
 
     Below `_ALPHA_ASYMPTOTIC` the endpoint co-state equation is driven only
-    best-effort, so `converged` then means only that the terminal
-    conditions closed: the schedule is feasible, not certified optimal.
+    best-effort, and at zero weight not at all (no co-state is computed
+    there), so `converged` then means only that the terminal conditions
+    closed: the schedule is feasible, not certified optimal.
     """
     options = options or SolverOptions()
     ctx = make_context(scn)

@@ -4,7 +4,7 @@
 before its stepper was written out per component: every stage point and
 the update are built as tuples from `zip` generator expressions, and the
 right-hand side composes `dynamics.eval_F`, `dynamics.zermelo_rhs` and
-the co-state equation on plain floats (`pmp.adjoint_rate` applied to
+the co-state equation on plain floats (`pmp_oracle.adjoint_rate` applied to
 `pmp_oracle.scalar_costate_coefficients`), with the wind and its gradients
 from the field's separate lookups and the singular throttle from
 `pmp_oracle.composed_feedback`.  `integrate_arcs` drives them over the
@@ -48,12 +48,13 @@ from cruiseopt.integrate import ArcSchedule, Trajectory
 from cruiseopt.integrate import _Rhs as lib_Rhs
 from cruiseopt.integrate import reconstruct_costates as lib_reconstruct
 from cruiseopt.integrate import integrate_arcs as lib_integrate
-from cruiseopt.pmp import (STATE_SCALES, adjoint_rate, evaluate_feedback,
+from cruiseopt.pmp import (STATE_SCALES, evaluate_feedback,
                            hamiltonian, legendre_clebsch, scaled_det,
                            singular_throttle_alpha0,
                            solve_costates_on_singular, switching_function)
 
-from pmp_oracle import composed_feedback, scalar_costate_coefficients
+from pmp_oracle import (adjoint_rate, composed_feedback,
+                        scalar_costate_coefficients)
 
 
 class _Rhs:
@@ -204,7 +205,7 @@ def costate_sweep(ctx: CruiseContext, throttle: float, t, states, lam):
 
     def at_sample(s):
         """The state rate and the adjoint coefficients at a sample."""
-        return rhs(s), scalar_costate_coefficients(
+        return rhs(*s), scalar_costate_coefficients(
             ctx, s[2], s[3], s[4], grads(s[0], s[1]), throttle)
 
     t, states = t.tolist(), states.tolist()

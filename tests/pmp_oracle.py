@@ -14,7 +14,9 @@ them; the library reaches the same algebra through `pmp._polar` and
 `closed_costate_rhs` is the library's closed-form co-state equation,
 which only the tests evaluate at single states; `scalar_costate_coefficients`
 is its coefficient vector as computed on plain floats before it took
-arrays.
+arrays.  `adjoint_rate` applies such a coefficient vector to a co-state,
+as the library did stage by stage before its co-state sweeps wrote the
+recurrence out.
 
 `composed_feedback` is the generic singular feedback as the library
 composed it from `pmp._system`, `pmp._det`, `pmp._unit_costate` and
@@ -31,8 +33,7 @@ import numpy as np
 from cruiseopt.dynamics import CruiseContext, eval_P, eval_Q, zermelo_rhs
 from cruiseopt.errors import SingularDenominatorError
 from cruiseopt.pmp import (EPS_DEN, STATE_SCALES, _brackets, _det, _polar,
-                          _system, _unit_costate, adjoint_rate,
-                          costate_coefficients)
+                          _system, _unit_costate, costate_coefficients)
 
 from model_oracle import jacobian_P, jacobian_Q
 
@@ -105,9 +106,20 @@ def scalar_costate_coefficients(ctx, v, m, chi, grads, throttle):
             + throttle * (-ctx.T_max / (m * m)))
 
 
+def adjoint_rate(coeffs, lam):
+    """d lambda / dt from the `pmp.costate_coefficients` of a state, so
+    that RK4 stages at one state share them."""
+    wxx, wxy, wyx, wyy, c, s, v_v, v_m, m_m = coeffs
+    lx, ly, lv, lm = lam
+    return (-(lx * wxx + ly * wyx),
+            -(lx * wxy + ly * wyy),
+            -(lx * c + ly * s + lv * v_v + lm * v_m),
+            -(lv * m_m))
+
+
 def closed_costate_rhs(ctx, v, m, chi, grads, throttle, lam):
     """d lambda / dt = -(dQ/dX + pi dP/dX)^T lambda from the library's
-    closed form, `pmp.costate_coefficients` applied by `pmp.adjoint_rate`;
+    closed form, `pmp.costate_coefficients` applied by `adjoint_rate`;
     `grads` are the wind gradients at the position."""
     return adjoint_rate(costate_coefficients(ctx, v, m, chi, grads,
                                              throttle), lam)

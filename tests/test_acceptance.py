@@ -216,7 +216,7 @@ def test_criterion_09_singular_feedback_self_consistency(capsys, sol_04):
     # joint state/co-state ODE across singular windows vs the algebraic solve
     def rhs(s):
         sing = _Rhs(ctx, math.nan, alpha, scn.pi_min, scn.pi_max)
-        base = sing(s[:5])
+        base = sing(*s[:5])
         lrhs = pmp_oracle.costate_rhs(ctx, *s[:5], sing.throttle, s[5:])
         return np.array(base + lrhs)
 

@@ -197,7 +197,7 @@ def test_each_rhs_stage_looks_the_wind_up_once():
                 _Rhs(ctx, math.nan, 0.4, SCN.pi_min, SCN.pi_max),
                 _Rhs(ctx, math.nan, 0.0, SCN.pi_min, SCN.pi_max)):
         wind.calls = {}
-        rhs(state)
+        rhs(*state)
         assert wind.calls == {"wind_and_gradients": 1}
 
     # 3 arcs of 20 RK4 steps of 4 stages each
@@ -464,28 +464,33 @@ def test_costate_sweeps_step_plain_floats(monkeypatch):
     operation.  The co-state sweeps of `reconstruct_costates` and
     `terminal_costate` take the adjoint coefficients from two array passes
     per arc, one over the samples and one over the step midpoints, evaluate
-    no state right-hand side, and step the adjoint on plain floats and
-    return tuples of plain floats."""
+    no state right-hand side, and step the adjoint (`_adjoint_chain`) on
+    plain floats: its inputs and the co-states it returns are plain floats,
+    the co-states as tuples."""
     types = set()
     rhs_calls = []
     call = _Rhs.__call__
     coefficients = integrate.costate_coefficients
-    adjoint = integrate.adjoint_rate
+    adjoint = integrate._adjoint_chain
     sweep = integrate._costate_sweep
-    passes, sweeps = [], []
+    passes, sweeps, chains = [], [], []
 
-    def rhs_spy(self, s):
+    def rhs_spy(self, *s):
         rhs_calls.append(s)
-        return call(self, s)
+        return call(self, *s)
 
     def coefficients_spy(ctx, v, m, chi, grads, throttle):
         assert all(type(a) is np.ndarray for a in (v, m, chi, *grads))
         passes.append(len(v))
         return coefficients(ctx, v, m, chi, grads, throttle)
 
-    def adjoint_spy(coeffs, lam):
-        types.update(map(type, (*coeffs, *lam)))
-        return adjoint(coeffs, lam)
+    def adjoint_spy(t, dt, k_sample, k_mid, lam):
+        types.update(map(type, (*t, *dt, *lam)))
+        types.update(type(k) for ks in (k_sample, k_mid) for row in ks
+                     for k in row)
+        chain = adjoint(t, dt, k_sample, k_mid, lam)
+        chains.append(chain)
+        return chain
 
     def sweep_spy(*args):
         chain = sweep(*args)
@@ -497,7 +502,7 @@ def test_costate_sweeps_step_plain_floats(monkeypatch):
                           steps_per_arc=20)
     monkeypatch.setattr(_Rhs, "__call__", rhs_spy)
     monkeypatch.setattr(integrate, "costate_coefficients", coefficients_spy)
-    monkeypatch.setattr(integrate, "adjoint_rate", adjoint_spy)
+    monkeypatch.setattr(integrate, "_adjoint_chain", adjoint_spy)
     monkeypatch.setattr(integrate, "_costate_sweep", sweep_spy)
     reconstruct_costates(CTX, traj, sched, 0.4, SCN.pi_min, SCN.pi_max)
     lam_f = terminal_costate(CTX, traj, sched, 1.0)
@@ -507,8 +512,9 @@ def test_costate_sweeps_step_plain_floats(monkeypatch):
     # one pass over its 21 samples and one over its 20 midpoints
     assert passes == [21, 20] * 3
     assert [len(chain) for chain in sweeps] == [20, 20, 20]
+    assert chains == sweeps
     assert all(type(lam) is tuple and all(type(v) is float for v in lam)
-               for chain in sweeps for lam in chain)
+               for chain in chains for lam in chain)
     assert all(type(v) is float for v in lam_f)
 
 

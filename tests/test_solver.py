@@ -15,7 +15,7 @@ from cruiseopt import solver
 from cruiseopt.errors import DegenerateGeometryError, ValidationError
 from cruiseopt.integrate import ArcSchedule, integrate_arcs
 from cruiseopt.pmp import TIME_SCALE
-from cruiseopt.scenario import Scenario
+from cruiseopt.scenario import Scenario, make_context
 from cruiseopt.solver import (SolverOptions, _LMShooting, _start_grid,
                               chi0_constant_wind, realize_solution,
                               solve_indirect, sweep_alpha, verify_solution)
@@ -216,7 +216,7 @@ def test_cold_solve_reports_endgame_optimality(monkeypatch, tmp_path,
         # rollout at z_opt, which a closed solve's Solution is built on
         monkeypatch.setattr(
             _LMShooting, "_levenberg_marquardt",
-            lambda self, z, square, _c=costate_resid: (
+            lambda self, z, square, search=None, _c=costate_resid: (
                 z_opt, np.array([0.0, 0.0, 0.0, _c]),
                 self._shoot(z_opt, square)[1]))
         sol = solve_indirect(scenario_cw, opts)
@@ -410,8 +410,8 @@ def _lm_log(monkeypatch, fail=()):
         log.append(("point", z.copy(), r))
         return r, rollout
 
-    def jacobian_spy(self, z, square, rollout):
-        jac = jacobian(self, z, square, rollout)
+    def jacobian_spy(self, z, square, rollout, search=None):
+        jac = jacobian(self, z, square, rollout, search)
         log.append(("jacobian", z.copy(), jac))
         return jac
 
@@ -432,16 +432,19 @@ def _lm_log(monkeypatch, fail=()):
     return log
 
 
+def _z(sched):
+    """The scaled shooting unknowns of a polynomial-wind schedule."""
+    return np.array([sched.chi0, sched.t1, sched.t2, sched.tf]) / np.array(
+        [1.0, TIME_SCALE, TIME_SCALE, TIME_SCALE])
+
+
 def _near_optimum(context, scenario):
     """A 20-step shooting solve at alpha = 0.4 and a start near its
     optimum."""
     sched = ArcSchedule(t1=46.37409392679744, t2=6102.6089917743075,
                         tf=6157.216316030232, chi0=0.6936718863233733)
-    z = np.array([sched.chi0, sched.t1, sched.t2, sched.tf]) / np.array(
-        [1.0, TIME_SCALE, TIME_SCALE, TIME_SCALE])
     return _LMShooting(context, scenario.replace_alpha(0.4), 20,
-                       None), z + [1e-3, 2e-3, 3e-3,
-                                                         -3e-3]
+                       None), _z(sched) + [1e-3, 2e-3, 3e-3, -3e-3]
 
 
 def test_accepted_steps_update_the_jacobian_by_the_secant(monkeypatch,
@@ -503,6 +506,111 @@ def test_rejected_secant_step_refreshes_the_jacobian(monkeypatch, context,
         assert np.ptp(lam(d, jac)) <= 1e-12 * lam(d, jac)[0]
     assert lam(d3, j1)[0] == pytest.approx(lam(d2, j0)[0], rel=1e-12)
     assert lam(d4, j1)[0] == pytest.approx(2.0 * lam(d3, j1)[0], rel=1e-12)
+
+
+
+def _spy_stages(monkeypatch):
+    """Record the `square` flag of each Levenberg-Marquardt stage and each
+    `terminal_costates` call of the shooting solve."""
+    stages, costates = [], []
+    lm, batch = _LMShooting._levenberg_marquardt, solver.terminal_costates
+
+    def lm_spy(self, z, square, search=None):
+        stages.append(square)
+        return lm(self, z, square, search)
+
+    def batch_spy(*args):
+        costates.append(len(args[1]))
+        return batch(*args)
+
+    monkeypatch.setattr(_LMShooting, "_levenberg_marquardt", lm_spy)
+    monkeypatch.setattr(solver, "terminal_costates", batch_spy)
+    return stages, costates
+
+
+def test_zero_weight_solve_stops_after_feasibility(monkeypatch, scenario,
+                                                   sol_alpha_eps):
+    """At alpha = 0 the shooting solve closes the terminal conditions and
+    ends: no co-state stage and no co-state at tf.  The stage it drops
+    (the asymptotic regime's second one, forced here) ends on the same
+    point and rollout, bit for bit, after more rollouts."""
+    scn = scenario.replace_alpha(0.0)
+    ctx = make_context(scn)
+    z0 = _z(sol_alpha_eps.schedule)
+    stages, costates = _spy_stages(monkeypatch)
+    shooting = _LMShooting(ctx, scn, 40, scn.pi_max)
+    z, closed, rollout = shooting.solve(z0)
+    assert closed and stages == [False] and costates == []
+    two_stage = _LMShooting(ctx, scn, 40, scn.pi_max)
+    two_stage.fourth = "asymptotic"
+    stages.clear()
+    z2, closed2, rollout2 = two_stage.solve(z0)
+    assert closed2 and stages == [False, True] and costates
+    assert z2.tobytes() == z.tobytes()
+    assert rollout2.schedule == rollout.schedule
+    assert (rollout2.trajectory.states.tobytes()
+            == rollout.trajectory.states.tobytes())
+    assert shooting.n_fev < two_stage.n_fev
+
+
+def test_small_positive_weight_keeps_both_stages(monkeypatch, scenario,
+                                                 sol_alpha_eps):
+    """Below `_ALPHA_ASYMPTOTIC` but above zero the solve still drives the
+    co-state equation after feasibility."""
+    scn = scenario.replace_alpha(1e-6)
+    stages, costates = _spy_stages(monkeypatch)
+    shooting = _LMShooting(make_context(scn), scn, 40, scn.pi_max)
+    _, closed, _ = shooting.solve(_z(sol_alpha_eps.schedule))
+    assert closed and stages == [False, True] and costates
+
+
+@pytest.mark.parametrize("mu_m", [0.0, math.inf, math.nan])
+def test_a_zero_or_non_finite_mass_costate_fails_the_residual(
+        monkeypatch, context, scenario, mu_m):
+    """The fourth residual is 1/mu_m(tf): a mass co-state at tf that is
+    zero or not finite fails the point, as a failed rollout does, while
+    the terminal rows alone do not read it."""
+    shooting, z = _near_optimum(context, scenario)
+    assert shooting._shoot(z, True)[0] is not None
+    monkeypatch.setattr(solver, "terminal_costates",
+                        lambda ctx, rollouts, alpha: [(1.0, 1.0, 1.0, mu_m)]
+                        * len(rollouts))
+    r, rollout = shooting._shoot(z, True)
+    assert r is None and rollout is None
+    assert shooting._shoot(z, False)[0] is not None
+
+
+def test_coarse_solve_lends_its_last_rollout_to_the_fine_jacobian(
+        monkeypatch, scenario):
+    """When the coarse solve from a start closes, the fine solve's first
+    Jacobian takes its 20-step rollout over instead of rolling the same
+    schedule out again: no 20-step schedule is rolled out twice from
+    scratch, and the result keeps its bits."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        fresh = kwargs.get("reuse") is None
+        calls.append((args[1], kwargs["steps_per_arc"], fresh))
+        return integrate_arcs(*args, **kwargs)
+
+    def from_scratch_at_20():
+        return Counter(s for s, steps, fresh in calls if steps == 20 and fresh)
+
+    monkeypatch.setattr(solver, "integrate_arcs", counted)
+    sol = solve_indirect(scenario, SolverOptions(steps=60))
+    assert sol.converged and sol.n_fev == len(calls) == 31
+    assert max(from_scratch_at_20().values()) == 1
+    # the same solve with the hand-over cut rolls one schedule out twice
+    solve = _LMShooting.solve
+    monkeypatch.setattr(_LMShooting, "solve",
+                        lambda self, z0, search=None: solve(self, z0))
+    calls.clear()
+    ref = solve_indirect(scenario, SolverOptions(steps=60))
+    assert ref.n_fev == len(calls) == 32
+    assert sorted(from_scratch_at_20().values())[-2:] == [1, 2]
+    assert ref.schedule == sol.schedule and ref.cost == sol.cost
+    assert (ref.trajectory.states.tobytes()
+            == sol.trajectory.states.tobytes())
 
 
 CENSUS = census_script()
